@@ -8,7 +8,6 @@
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "engine/legacy_drain.hpp"
 #include "query/rewrite.hpp"
 #include "store/snapshot.hpp"
 
@@ -1188,15 +1187,7 @@ SiteServer::Participation& SiteServer::participation(const wire::QueryId& qid,
   (void)inserted;
   nit->second.last_activity = now_tick();
   nit->second.span.site = store_.site();
-  if (options_.legacy_drain) {
-    if (drain_pool_ != nullptr) {
-      nit->second.exec = std::make_unique<LegacyParallelExecution>(
-          query, store_, *drain_pool_, std::move(opts));
-    } else {
-      nit->second.exec =
-          std::make_unique<LegacySerialExecution>(query, store_, std::move(opts));
-    }
-  } else if (drain_pool_ != nullptr) {
+  if (drain_pool_ != nullptr) {
     nit->second.exec = std::make_unique<ParallelExecution>(
         query, store_, *drain_pool_, std::move(opts));
   } else {

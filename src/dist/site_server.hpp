@@ -87,11 +87,6 @@ struct SiteServerOptions {
   /// event loop keeps exclusive ownership of message handling, store
   /// writes, and termination accounting either way.
   std::size_t drain_workers = 0;
-  /// Run the frozen pre-optimization drain (engine/legacy_drain.hpp) instead
-  /// of the current engine. Exists so bench_parallel_site can measure the
-  /// old-vs-new curves from the same binary and so differential tests can
-  /// compare result sets; never set in production configs.
-  bool legacy_drain = false;
   /// Extra attempts after a failed send of a protocol message (derefs,
   /// results, acks, replies). Retries target *detected* transient failures
   /// — a dead connection the transport can re-establish; silent loss is

@@ -9,9 +9,7 @@
 // the same document. Duplicate processing may create some duplicate answers,
 // but not incorrect ones."
 //
-// This is the scalable drain (DESIGN.md §14); the pre-overhaul engine it
-// replaced survives as engine/legacy_drain.hpp for old-vs-new measurement.
-// What makes it scale:
+// This is the scalable drain (DESIGN.md §14). What makes it scale:
 //   * Lock-free marks — one AtomicMarkTable (common/sync.hpp) instead of
 //     mutex-guarded shards; marked/set_mark are a relaxed atomic load /
 //     fetch_or, licensed by the paper's benign-duplicate argument above.
@@ -25,7 +23,7 @@
 //     child/survivor buffers) reused across batches; apply_filter fills an
 //     out-param instead of returning fresh vectors.
 //
-// Division of labour (unchanged from the old engine):
+// Division of labour:
 //   * The site event-loop thread owns messaging, store writes, and
 //     termination accounting. It calls seed_*/add_item/drain/take_* exactly
 //     as it would on the serial QueryExecution; seeds are dealt round-robin

@@ -135,15 +135,21 @@ void EpollNetwork::run_loop() {
                << std::strerror(errno);
       break;
     }
+    // Consume the wake *before* draining the handoff lists: a sender pushes
+    // under pending_mu_ and then writes the eventfd, so a push that misses
+    // this drain leaves its wake pending for the next epoll_wait. Reading
+    // after the drain would swallow that wake and strand the push until the
+    // next socket event or the 200ms tick.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd != wake_fd_) continue;
+      std::uint64_t junk;
+      while (::read(wake_fd_, &junk, sizeof junk) > 0) {
+      }
+    }
     drain_pending();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        std::uint64_t junk;
-        while (::read(wake_fd_, &junk, sizeof junk) > 0) {
-        }
-        continue;
-      }
+      if (fd == wake_fd_) continue;
       if (fd == listen_fd_) {
         accept_ready();
         continue;

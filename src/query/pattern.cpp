@@ -80,9 +80,9 @@ Result<Pattern> Pattern::regex(std::string expr) {
     return make_error(Errc::kInvalidArgument,
                       "bad regex '" + expr + "': " + e.what());
   }
-  // The compiled regex is kept even when the fast path applies: the legacy
-  // drain baseline and the fast==reference equivalence tests need the
-  // generic engine for the same pattern object.
+  // The compiled regex is kept even when the fast path applies: the
+  // fast==reference equivalence tests need the generic engine for the same
+  // pattern object.
   p.fast_ = classify_fast_path(expr, &p.fast_text_);
   p.text_ = std::move(expr);
   return p;

@@ -100,9 +100,8 @@ class Pattern {
 
   /// The pre-fast-path generic matcher: literal patterns compare Values,
   /// regex patterns always run std::regex_search. Semantically identical to
-  /// matches_basic — kept callable so the legacy drain baseline
-  /// (engine/legacy_drain.hpp) measures the old cost and so tests can assert
-  /// fast path == reference on arbitrary inputs.
+  /// matches_basic — kept callable so tests can assert fast path ==
+  /// reference on arbitrary inputs.
   bool matches_reference(const Value& v) const;
 
   RegexFastPath fast_path() const { return fast_; }

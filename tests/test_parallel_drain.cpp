@@ -213,11 +213,10 @@ void populate_random_graph(std::uint64_t seed, std::size_t sites,
 }
 
 GraphObservation run_inproc(std::uint64_t seed, std::size_t workers,
-                            TerminationAlgorithm algo, bool legacy = false) {
+                            TerminationAlgorithm algo) {
   SiteServerOptions options;
   options.drain_workers = workers;
   options.termination = algo;
-  options.legacy_drain = legacy;
   Cluster cluster(3, options);
   populate_random_graph(seed, 3,
                         [&](std::size_t s) -> SiteStore& { return cluster.store(s); });
@@ -255,22 +254,26 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(TerminationAlgorithm::kWeightedMessages,
                           TerminationAlgorithm::kDijkstraScholten)));
 
-// --- old engine vs new engine ----------------------------------------------
+// --- distributed answers vs the single-site oracle -------------------------
 
-TEST(ParallelDrain, LegacyAndCurrentEnginesAgree) {
-  // Differential check against the frozen pre-overhaul engine
-  // (engine/legacy_drain.hpp, the bench baseline): same graphs, same
-  // answers, serial and parallel — the perf work is behavior-preserving.
+TEST(ParallelDrain, SerialAndParallelMatchSingleSiteOracle) {
+  // With no message loss, the 3-site answer equals LocalEngine's over the
+  // merged store, whether each site drains serially or on a worker pool.
+  const Query q = parse_or_die(kGraphQuery);
   for (std::uint64_t seed : {61u, 62u, 63u}) {
+    Cluster unstarted(3);
+    populate_random_graph(
+        seed, 3, [&](std::size_t s) -> SiteStore& { return unstarted.store(s); });
+    const QueryResult oracle = expected_on_merged(unstarted, q);
+    std::vector<Value> oracle_names = oracle.values_for("n");
+    std::sort(oracle_names.begin(), oracle_names.end());
+    ASSERT_FALSE(oracle.ids.empty());
     for (std::size_t workers : {0u, 4u}) {
-      GraphObservation legacy = run_inproc(
-          seed, workers, TerminationAlgorithm::kWeightedMessages, true);
-      GraphObservation current = run_inproc(
-          seed, workers, TerminationAlgorithm::kWeightedMessages, false);
-      ASSERT_FALSE(legacy.ids.empty());
-      EXPECT_EQ(current.ids, legacy.ids)
+      GraphObservation got = run_inproc(
+          seed, workers, TerminationAlgorithm::kWeightedMessages);
+      EXPECT_EQ(got.ids, sorted(oracle.ids))
           << "seed=" << seed << " workers=" << workers;
-      EXPECT_EQ(current.names, legacy.names)
+      EXPECT_EQ(got.names, oracle_names)
           << "seed=" << seed << " workers=" << workers;
     }
   }
