@@ -5,13 +5,13 @@
 // primary with no goodbye, and keeps the workload running through
 // suspicion, failover, and revival.
 //
-// Cells are backend × termination detector × {replicated, control}. The
-// control rows (replication off) show the baseline this PR replaces:
-// every post-kill query is permanently partial until the primary comes
-// back. The replicated rows are the gated product: queries keep
-// completing, each one either exact (served from the follower's shadow
-// once the failure detector fires) or honestly flagged partial during
-// the suspicion window — never wrong, never hung.
+// Cells are backend × {replicated, control}. The control rows
+// (replication off) show the baseline without a replica: every post-kill
+// query is permanently partial until the primary comes back. The
+// replicated rows are the gated product: queries keep completing, each
+// one either exact (served from the follower's shadow once the failure
+// detector fires) or honestly flagged partial during the suspicion
+// window — never wrong, never hung.
 //
 // Per-cell outcome classes, checked against the true answer:
 //   * exact    — ids == truth, unflagged;
@@ -24,7 +24,9 @@
 // served while the primary is still dead (-1 when none was, which is
 // the expected shape of the control rows). revived_ms is restart →
 // first exact answer with no failover hop in its trace (routing
-// reclaimed).
+// reclaimed). failovers and replica_lag_samples count the cell's routes to
+// a replica and the shadow-served items among them (each records its
+// shadow's age in dist.replica_lag_us).
 //
 // tools/check_bench_availability.py gates the artifact in CI: zero
 // wrong results in every cell, and ≥99% of queries in every replicated
@@ -118,10 +120,9 @@ struct Deployment {
   TcpBackend backend;
   bool ok = false;
 
-  Deployment(TcpBackend backend_in, TerminationAlgorithm algo,
-             const std::string& wal_dir, bool replicated)
+  Deployment(TcpBackend backend_in, const std::string& wal_dir,
+             bool replicated)
       : backend(backend_in) {
-    options.termination = algo;
     options.context_ttl = Duration(400'000);
     options.retry_backoff = Duration(100);
     options.suspect_after = Duration(300'000);
@@ -200,31 +201,27 @@ struct Deployment {
   }
 };
 
-const char* algo_name(TerminationAlgorithm a) {
-  return a == TerminationAlgorithm::kWeightedMessages ? "weighted"
-                                                      : "dijkstra_scholten";
-}
-
-bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
-              bool replicated, const Query& q) {
+bool run_cell(JsonSink& sink, TcpBackend backend, bool replicated,
+              const Query& q) {
   const std::string label = std::string(to_string(backend)) + "," +
-                            algo_name(algo) + "," +
                             (replicated ? "interval=5ms" : "no_replica");
   std::filesystem::path wal_dir =
       std::filesystem::temp_directory_path() /
-      ("hf_avail_" + std::to_string(static_cast<int>(backend)) + "_" +
-       std::to_string(static_cast<int>(algo)) + (replicated ? "_r" : "_n"));
+      ("hf_avail_" + std::to_string(static_cast<int>(backend)) +
+       (replicated ? "_r" : "_n"));
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
 
   const double failovers_before =
       metrics().counter("dist.failovers").value();
+  const double lag_samples_before =
+      metrics().histogram("dist.replica_lag_us").count();
   bool cell_ok = true;
   Tally t;
   double failover_ms = 0;
   double revived_ms = 0;
   {
-    Deployment d(backend, algo, wal_dir.string(), replicated);
+    Deployment d(backend, wal_dir.string(), replicated);
     if (!d.ok) {
       std::fprintf(stderr, "%s: no localhost sockets, skipping\n",
                    label.c_str());
@@ -332,10 +329,13 @@ bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
       {"max_ms", percentile(t.latencies_ms, 1.0)},
       {"failovers",
        metrics().counter("dist.failovers").value() - failovers_before},
+      {"replica_lag_samples",
+       metrics().histogram("dist.replica_lag_us").count() -
+           lag_samples_before},
   };
   sink.add(rec);
   std::printf(
-      "%-36s failover=%7.1fms revived=%7.1fms  exact=%ld partial=%ld "
+      "%-22s failover=%7.1fms revived=%7.1fms  exact=%ld partial=%ld "
       "wrong=%ld failed=%ld  p50=%.2fms p95=%.2fms\n",
       label.c_str(), failover_ms, revived_ms, t.exact, t.partial, t.wrong,
       t.failed, percentile(t.latencies_ms, 0.50),
@@ -357,12 +357,8 @@ int main(int argc, char** argv) {
   const Query q = bench_query();
   bool ok = true;
   for (TcpBackend backend : {TcpBackend::kThreaded, TcpBackend::kEpoll}) {
-    for (TerminationAlgorithm algo :
-         {TerminationAlgorithm::kWeightedMessages,
-          TerminationAlgorithm::kDijkstraScholten}) {
-      for (bool replicated : {false, true}) {
-        ok = run_cell(sink, backend, algo, replicated, q) && ok;
-      }
+    for (bool replicated : {false, true}) {
+      ok = run_cell(sink, backend, replicated, q) && ok;
     }
   }
   if (!sink.write()) return 1;

@@ -124,9 +124,12 @@ struct DrainCounters {
 struct RunOutcome {
   WallStats wall;
   std::size_t results = 0;
+  /// The match count populate() generated; `results` must equal it.
+  std::size_t expected = 0;
   NetworkStats net;
   bool has_net = false;
-  bool ok = true;
+  bool skipped = false;  // no localhost sockets in this environment
+  bool ok = true;        // every query answered
   DrainCounters drain;
 };
 
@@ -156,10 +159,10 @@ RunOutcome run_inproc(const WorkloadShape& shape, std::size_t workers,
   Cluster cluster(kSites, options);
   std::vector<SiteStore*> stores;
   for (SiteId s = 0; s < kSites; ++s) stores.push_back(&cluster.store(s));
-  populate(stores, shape);
+  RunOutcome out;
+  out.expected = populate(stores, shape);
   cluster.start();
 
-  RunOutcome out;
   time_queries(cluster.client(), q, runs, out);
   cluster.stop();
   out.net = cluster.network_stats();
@@ -176,7 +179,7 @@ RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
   for (SiteId s = 0; s <= kSites; ++s) {
     auto net = TcpNetwork::create(s, zeros);
     if (!net.ok()) {
-      out.ok = false;  // no localhost sockets in this environment
+      out.skipped = true;
       return out;
     }
     nets.push_back(std::move(net).value());
@@ -191,7 +194,7 @@ RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
   for (SiteId s = 0; s < kSites; ++s) stores.emplace_back(s);
   std::vector<SiteStore*> ptrs;
   for (auto& st : stores) ptrs.push_back(&st);
-  populate(ptrs, shape);
+  out.expected = populate(ptrs, shape);
 
   SiteServerOptions options;
   options.drain_workers = workers;
@@ -257,10 +260,13 @@ int main(int argc, char** argv) {
       const bool inproc = std::string(transport) == "inproc";
       RunOutcome out = inproc ? run_inproc(shape, workers, q, runs)
                               : run_tcp(shape, workers, q, runs);
-      if (!out.ok) {
+      if (out.skipped) {
         std::printf("%-8s %-8zu %12s\n", transport, workers, "(skipped)");
         continue;
       }
+      // A row fails when a query errored or its answer is not the
+      // generated match count.
+      const bool row_ok = out.ok && out.results == out.expected;
       if (workers == 0) serial_mean = out.wall.mean_ms;
       const double speedup =
           serial_mean > 0 ? serial_mean / out.wall.mean_ms : 0;
@@ -270,6 +276,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(out.drain.stolen_items),
                   static_cast<double>(out.drain.queue_wait_us) / 1000.0,
                   speedup);
+      if (!row_ok) {
+        std::fprintf(stderr,
+                     "FAIL: %s,workers=%zu: %zu results, %zu expected%s\n",
+                     transport, workers, out.results, out.expected,
+                     out.ok ? "" : " (a query failed)");
+      }
 
       BenchRecord rec;
       rec.config =
@@ -280,6 +292,7 @@ int main(int argc, char** argv) {
       rec.counters = {
           {"workers", static_cast<double>(workers)},
           {"results", static_cast<double>(out.results)},
+          {"expected_results", static_cast<double>(out.expected)},
           {"speedup_vs_serial", speedup},
           {"hardware_threads", static_cast<double>(hw_threads)},
           {"steals", static_cast<double>(out.drain.steals)},
@@ -296,7 +309,7 @@ int main(int argc, char** argv) {
             {"messages_sent", static_cast<double>(out.net.messages_sent)});
       }
       json.add(std::move(rec));
-      all_ok = all_ok && out.ok;
+      all_ok = all_ok && row_ok;
     }
   }
 

@@ -71,7 +71,8 @@ struct ReplicaTail {
   ReplicationWatermark primary_tail;
   /// Last segment/catchup arrival — quiet streams trigger a re-subscribe.
   std::chrono::steady_clock::time_point last_heard{};
-  /// Last watermark advance; the age of a lagging failover answer.
+  /// Last watermark advance; every shadow failover records its age in
+  /// `dist.replica_lag_us`.
   std::chrono::steady_clock::time_point last_advance{};
   std::chrono::steady_clock::time_point last_subscribe{};
 };

@@ -512,9 +512,9 @@ void SiteServer::sweep_contexts() {
   if (now - last_sweep_ < options_.context_ttl / 4) return;
   last_sweep_ = now;
 
-  // Expired originations: termination can no longer be detected (weight or
-  // acks were lost in flight) — answer with everything that did arrive,
-  // flagged partial. "Partial results are better than none at all."
+  // Expired originations: termination can no longer be detected (weight
+  // was lost in flight) — answer with everything that did arrive, flagged
+  // partial. "Partial results are better than none at all."
   std::vector<wire::QueryId> expired;
   for (auto& [qid, o] : originated_) {
     if (!o.replied && now - o.last_activity >= options_.context_ttl) {
@@ -1142,8 +1142,6 @@ void SiteServer::handle(wire::Envelope env) {
     handle_result(src, std::move(*rm));
   } else if (auto* cr = std::get_if<wire::ClientRequest>(&env.message)) {
     handle_client_request(src, std::move(*cr));
-  } else if (auto* ta = std::get_if<wire::TermAck>(&env.message)) {
-    handle_term_ack(src, *ta);
   } else if (auto* mc = std::get_if<wire::MoveCommand>(&env.message)) {
     handle_move_command(src, *mc);
   } else if (auto* md = std::get_if<wire::MoveData>(&env.message)) {
@@ -1198,7 +1196,6 @@ SiteServer::Participation& SiteServer::participation(const wire::QueryId& qid,
 }
 
 Weight SiteServer::borrow_weight(const wire::QueryId& qid, Participation& p) {
-  if (using_ds()) return Weight::zero();  // D-S messages carry no weight
   if (Origination* o = find_origination(qid)) return o->term.borrow();
   return p.weight.borrow();
 }
@@ -1210,50 +1207,6 @@ void SiteServer::repay_weight(const wire::QueryId& qid, Participation& p,
     o->term.repay(std::move(w));
   } else {
     p.weight.receive(std::move(w));
-  }
-}
-
-void SiteServer::ds_on_computation_message(const wire::QueryId& qid,
-                                           Participation& p, SiteId src) {
-  if (!using_ds()) return;
-  if (find_origination(qid) != nullptr) {
-    // The root is permanently engaged: every incoming message is acked at
-    // once (its completion is subsumed by the root's own idle/deficit test).
-    (void)send_with_retry(src, wire::TermAck{qid, next_msg_seq_++});
-    return;
-  }
-  if (!p.ds_engaged) {
-    p.ds_engaged = true;  // this message becomes our tree edge
-    p.ds_parent = src;
-    return;
-  }
-  (void)send_with_retry(src, wire::TermAck{qid, next_msg_seq_++});
-}
-
-void SiteServer::handle_term_ack(SiteId src, const wire::TermAck& ta) {
-  auto it = contexts_.find(ta.qid);
-  if (it == contexts_.end()) return;
-  Participation& p = it->second;
-  // A wire-duplicated ack must not decrement the deficit twice: the second
-  // decrement would consume the ack of a message still outstanding and
-  // declare termination early.
-  if (already_seen(p.seen, src, ta.msg_seq)) return;
-  p.last_activity = now_tick();
-  if (p.ds_deficit > 0) --p.ds_deficit;
-  ds_try_settle(ta.qid, p);
-}
-
-void SiteServer::ds_try_settle(const wire::QueryId& qid, Participation& p) {
-  if (!using_ds()) return;
-  if (Origination* o = find_origination(qid)) {
-    maybe_finish(qid, *o);
-    return;
-  }
-  if (p.ds_engaged && p.ds_deficit == 0 && p.executions_idle()) {
-    const SiteId parent = p.ds_parent;
-    p.ds_engaged = false;
-    p.ds_parent = kNoSite;
-    (void)send_with_retry(parent, wire::TermAck{qid, next_msg_seq_++});
   }
 }
 
@@ -1286,13 +1239,14 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
       if (rt->shadow.contains(item.id)) {
         ++p.span.failovers;
         metrics().counter("dist.failovers").inc();
+        // How stale the shadow serving this item is, lagging or not.
+        metrics().histogram("dist.replica_lag_us")
+            .observe(us_since(rt->last_advance));
         if (!rt->watermark.covers(rt->primary_tail)) {
           // The shadow verifiably trails the primary's last known WAL
           // tail: the answer may miss acknowledged mutations. Flag it —
           // maybe_finish degrades the reply to partial.
           ++p.span.replica_lag;
-          metrics().histogram("dist.replica_lag_us")
-              .observe(us_since(rt->last_advance));
         }
         shadow_execution(qid, p, dest).add_item(std::move(item));
         return;
@@ -1368,7 +1322,6 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
     }
     return;
   }
-  ds_on_send(p);
   ++p.span.forwarded;
   if (Origination* o = find_origination(qid)) o->involved.insert(send_to);
 }
@@ -1398,7 +1351,6 @@ void SiteServer::flush_batches(const wire::QueryId& qid, Participation& p) {
       }
       continue;
     }
-    ds_on_send(p);
     p.span.forwarded += batch_size;
     if (Origination* o = find_origination(qid)) o->involved.insert(dest);
   }
@@ -1409,8 +1361,7 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   if (stale_own_query(dr.qid, src)) return;
   Participation& p = participation(dr.qid, dr.query);
   // Dedup before any bookkeeping: repaying a replayed message's weight a
-  // second time would push held weight past one, and acking it under D-S
-  // would cancel an ack the sender is still owed.
+  // second time would push held weight past one.
   if (already_seen(p.seen, src, dr.msg_seq)) {
     ++p.span.duplicates;
     metrics().counter("dist.dedup_hits").inc();
@@ -1418,7 +1369,6 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   }
   p.last_activity = now_tick();
   note_engagement(p, dr.hop, dr.path);
-  ds_on_computation_message(dr.qid, p, src);
   repay_weight(dr.qid, p, Weight::from_exponents(dr.weight));
 
   // Prune effectiveness accounting: if our own current summary would have
@@ -1454,7 +1404,6 @@ void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
   }
   p.last_activity = now_tick();
   note_engagement(p, bd.hop, bd.path);
-  ds_on_computation_message(bd.qid, p, src);
   repay_weight(bd.qid, p, Weight::from_exponents(bd.weight));
   for (wire::DerefEntry& entry : bd.items) {
     WorkItem item;
@@ -1483,7 +1432,6 @@ void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
   }
   p.last_activity = now_tick();
   note_engagement(p, sq.hop, sq.path);
-  ds_on_computation_message(sq.qid, p, src);
   repay_weight(sq.qid, p, Weight::from_exponents(sq.weight));
 
   for (const ObjectId& id : sq.ids) {
@@ -1616,12 +1564,8 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
     p.pending_values = failed.values;
     p.pending_count = failed.local_count;
   } else {
-    // D-S: result messages are tree messages too — the originator acks
-    // them, which is what keeps termination from racing ahead of results.
-    ds_on_send(p);
     p.dropped = 0;  // reported
   }
-  ds_try_settle(qid, p);
 }
 
 void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
@@ -1635,10 +1579,9 @@ void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
     }
     return;
   }
-  // Dedup BEFORE weight/count/ack bookkeeping: a replayed ResultMessage
-  // would double-count local_count, re-insert values, over-repay weight
-  // (Weight::add past one throws), and under D-S cancel an ack the sender
-  // is still owed.
+  // Dedup BEFORE weight/count bookkeeping: a replayed ResultMessage would
+  // double-count local_count, re-insert values, and over-repay weight
+  // (Weight::add past one throws).
   if (already_seen(o->seen, src, rm.msg_seq)) {
     metrics().counter("dist.dedup_hits").inc();
     return;
@@ -1648,9 +1591,6 @@ void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
   // so even a duplicate that slipped past msg_seq dedup (e.g. a retry with
   // a fresh seq) cannot inflate the trace.
   for (const TraceSpan& s : rm.spans) merge_into(o->spans[s.site], s);
-  if (using_ds()) {
-    (void)send_with_retry(src, wire::TermAck{rm.qid, next_msg_seq_++});
-  }
   o->involved.insert(src);
   o->term.repay(Weight::from_exponents(rm.weight));
   o->dropped_items += rm.dropped_items;
@@ -1727,7 +1667,6 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
           ++origin.dropped_items;  // that site's whole portion is lost
           continue;
         }
-        ds_on_send(p);
         ++p.span.forwarded;
         origin.involved.insert(s);
       }
@@ -1752,9 +1691,7 @@ void SiteServer::maybe_finish(const wire::QueryId& qid, Origination& o,
     auto cit = contexts_.find(qid);
     if (cit == contexts_.end()) return;
     if (!cit->second.executions_idle()) return;
-    const bool quiescent = using_ds() ? cit->second.ds_deficit == 0
-                                      : o.term.all_weight_home();
-    if (!quiescent) return;
+    if (!o.term.all_weight_home()) return;
   }
   o.replied = true;
 

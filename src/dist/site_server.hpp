@@ -57,19 +57,8 @@
 
 namespace hyperfile {
 
-/// Which distributed-termination detector the deployment runs. All sites of
-/// a deployment must agree. The paper chose weighted messages as
-/// "particularly appropriate to HyperFile" (Section 4); Dijkstra-Scholten is
-/// provided as the classic alternative — it needs no weight fields but adds
-/// one acknowledgement message per computation message.
-enum class TerminationAlgorithm {
-  kWeightedMessages,
-  kDijkstraScholten,
-};
-
 struct SiteServerOptions {
   WorkSetDiscipline discipline = WorkSetDiscipline::kFifo;
-  TerminationAlgorithm termination = TerminationAlgorithm::kWeightedMessages;
   /// How long the event loop blocks waiting for a message.
   Duration poll_interval = Duration(2'000);
   /// Buffer a drain's remote dereferences per destination and ship them as
@@ -88,7 +77,7 @@ struct SiteServerOptions {
   /// writes, and termination accounting either way.
   std::size_t drain_workers = 0;
   /// Extra attempts after a failed send of a protocol message (derefs,
-  /// results, acks, replies). Retries target *detected* transient failures
+  /// results, replies). Retries target *detected* transient failures
   /// — a dead connection the transport can re-establish; silent loss is
   /// invisible to the sender and is covered by context_ttl instead.
   /// Receivers suppress duplicates by msg_seq, so a retry that raced a
@@ -248,8 +237,8 @@ class SiteServer {
     /// (destroyed first) because their remote sinks feed it.
     std::unordered_map<SiteId, std::unique_ptr<SiteExecution>> shadow_execs;
     /// Idle test across the main and all shadow executions — termination
-    /// (maybe_finish, D-S settling, TTL sweeps) must not fire while any
-    /// failover drain still holds work.
+    /// (maybe_finish, TTL sweeps) must not fire while any failover drain
+    /// still holds work.
     bool executions_idle() const {
       if (!exec->idle()) return false;
       for (const auto& [primary, se] : shadow_execs) {
@@ -290,11 +279,6 @@ class SiteServer {
     /// message's path extended with this site (capped at
     /// TraceSpan::kMaxPath).
     std::vector<SiteId> out_path;
-
-    // --- Dijkstra-Scholten state (termination == kDijkstraScholten) ---
-    bool ds_engaged = false;      // on the engagement tree?
-    SiteId ds_parent = kNoSite;   // whose message engaged us
-    std::uint64_t ds_deficit = 0; // our unacknowledged computation messages
   };
 
   struct Origination {
@@ -488,29 +472,11 @@ class SiteServer {
                                          Participation& p);
 
   /// Borrow / repay weight for qid: from the master weight if we originated
-  /// it, else from the participant's held weight. No-ops under D-S.
+  /// it, else from the participant's held weight.
   HF_EVENT_LOOP_ONLY Weight borrow_weight(const wire::QueryId& qid,
                                            Participation& p);
   HF_EVENT_LOOP_ONLY void repay_weight(const wire::QueryId& qid,
                                         Participation& p, Weight w);
-
-  bool using_ds() const {
-    return options_.termination == TerminationAlgorithm::kDijkstraScholten;
-  }
-  /// D-S bookkeeping: a computation message (deref/batch/start/result)
-  /// arrived from `src` — engage or ack immediately.
-  HF_EVENT_LOOP_ONLY void ds_on_computation_message(
-      const wire::QueryId& qid, Participation& p, SiteId src);
-  /// D-S: we successfully sent a computation message.
-  void ds_on_send(Participation& p) {
-    if (using_ds()) ++p.ds_deficit;
-  }
-  HF_EVENT_LOOP_ONLY void handle_term_ack(SiteId src,
-                                           const wire::TermAck& ta);
-  /// D-S: idle + zero deficit -> ack our engaging message (participants) or
-  /// finish the query (originator).
-  HF_EVENT_LOOP_ONLY void ds_try_settle(const wire::QueryId& qid,
-                                         Participation& p);
 
   std::unique_ptr<MessageEndpoint> endpoint_;
   SiteStore store_;

@@ -33,8 +33,8 @@
 //   * Non-local dereferences and missing ids discovered by workers are
 //     buffered, and the remote/missing sinks run on the event-loop thread
 //     after the pool has joined — so weight is borrowed and messages are
-//     sent only while workers are provably idle, keeping both the
-//     weighted-message and Dijkstra-Scholten termination arguments intact.
+//     sent only while workers are provably idle, keeping the
+//     weighted-message termination argument intact.
 //
 // Pass termination: a worker parks only after finding its own queue and
 // every victim's queue empty; the pass ends when all workers are parked.

@@ -6,7 +6,7 @@
 // few-microsecond object costs the pool is meant to parallelize. The pool
 // runs one "pass" at a time: run() executes the given function on every
 // worker concurrently and returns only after all of them finished, which is
-// the quiescence point the distributed termination algorithms need (no
+// the quiescence point the distributed termination algorithm needs (no
 // worker can hold or produce work once run() has returned).
 #pragma once
 

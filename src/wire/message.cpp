@@ -13,7 +13,8 @@ enum class Tag : std::uint8_t {
   kClientRequest = 5,
   kClientReply = 6,
   kBatchDeref = 7,
-  kTermAck = 8,
+  // 8 is reserved: it was the retired Dijkstra-Scholten TermAck, and old
+  // frames carrying it must fail to decode rather than mean something new.
   kMoveCommand = 9,
   kMoveData = 10,
   kLocationUpdate = 11,
@@ -209,46 +210,6 @@ Result<std::vector<ObjectId>> decode_ids(Decoder& d) {
 
 }  // namespace
 
-const char* message_type_name(const Message& m) {
-  switch (m.index()) {
-    case 0:
-      return "DerefRequest";
-    case 1:
-      return "StartQuery";
-    case 2:
-      return "ResultMessage";
-    case 3:
-      return "QueryDone";
-    case 4:
-      return "ClientRequest";
-    case 5:
-      return "ClientReply";
-    case 6:
-      return "BatchDerefRequest";
-    case 7:
-      return "TermAck";
-    case 8:
-      return "MoveCommand";
-    case 9:
-      return "MoveData";
-    case 10:
-      return "LocationUpdate";
-    case 11:
-      return "MoveReply";
-    case 12:
-      return "PingMessage";
-    case 13:
-      return "SummaryMessage";
-    case 14:
-      return "WalSubscribe";
-    case 15:
-      return "WalSegment";
-    case 16:
-      return "WalCatchup";
-  }
-  return "?";
-}
-
 Bytes encode_message(const Message& m) {
   Encoder e;
   if (const auto* dr = std::get_if<DerefRequest>(&m)) {
@@ -295,10 +256,6 @@ Bytes encode_message(const Message& m) {
     e.u8(static_cast<std::uint8_t>(Tag::kClientRequest));
     e.varint(cr->client_seq);
     encode(e, cr->query);
-  } else if (const auto* ta = std::get_if<TermAck>(&m)) {
-    e.u8(static_cast<std::uint8_t>(Tag::kTermAck));
-    encode_qid(e, ta->qid);
-    e.varint(ta->msg_seq);
   } else if (const auto* mc = std::get_if<MoveCommand>(&m)) {
     e.u8(static_cast<std::uint8_t>(Tag::kMoveCommand));
     e.varint(mc->client_seq);
@@ -610,13 +567,6 @@ Result<Message> decode_message(std::span<const std::uint8_t> data) {
       if (!path.ok()) return path.error();
       bd.path = std::move(path).value();
       return Message(std::move(bd));
-    }
-    case Tag::kTermAck: {
-      auto qid = decode_qid(d);
-      if (!qid.ok()) return qid.error();
-      auto seq = d.varint();
-      if (!seq.ok()) return seq.error();
-      return Message(TermAck{qid.value(), seq.value()});
     }
     case Tag::kMoveCommand: {
       MoveCommand mc;

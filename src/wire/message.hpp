@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -206,15 +207,6 @@ struct MoveReply {
   SiteId now_at = kNoSite;
 };
 
-/// Dijkstra-Scholten acknowledgement (alternative termination detector,
-/// SiteServerOptions::termination): every computation message (deref,
-/// batch, start, result) is acknowledged; a node acks its engaging message
-/// last, once idle with no outstanding acks of its own.
-struct TermAck {
-  QueryId qid;
-  std::uint64_t msg_seq = 0;  // see DerefRequest::msg_seq
-};
-
 /// Liveness probe (DESIGN.md §13). Heartbeats are normally piggybacked —
 /// any received envelope proves its sender alive — so Ping only travels on
 /// links that have gone quiet: `want_reply=true` asks the peer to answer
@@ -305,9 +297,22 @@ struct WalCatchup {
 
 using Message = std::variant<DerefRequest, StartQuery, ResultMessage, QueryDone,
                              ClientRequest, ClientReply, BatchDerefRequest,
-                             TermAck, MoveCommand, MoveData, LocationUpdate,
-                             MoveReply, PingMessage, SummaryMessage,
-                             WalSubscribe, WalSegment, WalCatchup>;
+                             MoveCommand, MoveData, LocationUpdate, MoveReply,
+                             PingMessage, SummaryMessage, WalSubscribe,
+                             WalSegment, WalCatchup>;
+
+// NetworkStats::record_tag (net/inproc.cpp) and the simulator's schedule()
+// (sim/simulation.cpp) classify frames by these variant positions.
+static_assert(std::is_same_v<std::variant_alternative_t<0, Message>,
+                             DerefRequest>);
+static_assert(std::is_same_v<std::variant_alternative_t<1, Message>,
+                             StartQuery>);
+static_assert(std::is_same_v<std::variant_alternative_t<2, Message>,
+                             ResultMessage>);
+static_assert(std::is_same_v<std::variant_alternative_t<3, Message>,
+                             QueryDone>);
+static_assert(std::is_same_v<std::variant_alternative_t<6, Message>,
+                             BatchDerefRequest>);
 
 /// Transport envelope. src/dst are site ids; the client library occupies a
 /// site id of its own (the paper's client ran "at a separate machine from
@@ -317,8 +322,6 @@ struct Envelope {
   SiteId dst = kNoSite;
   Message message;
 };
-
-const char* message_type_name(const Message& m);
 
 Bytes encode_message(const Message& m);
 Result<Message> decode_message(std::span<const std::uint8_t> data);

@@ -1,6 +1,6 @@
 // Chaos suite: the paper's cross-site closure workload under injected
-// message faults (net/faulty.hpp), across both termination detectors and
-// both transports. The contract under faults (DESIGN.md §11):
+// message faults (net/faulty.hpp), in process and over both socket
+// backends. The contract under faults (DESIGN.md §11):
 //   * with a lossless schedule (none / duplicate / reorder+delay) the
 //     answer is exact and unflagged — duplicate suppression and the
 //     held-frame release make those faults invisible;
@@ -84,9 +84,9 @@ std::vector<ObjectId> populate_chain(Cluster& cluster, std::size_t n) {
   return ids;
 }
 
-SiteServerOptions chaos_options(TerminationAlgorithm algo) {
+SiteServerOptions chaos_options(WorkSetDiscipline discipline) {
   SiteServerOptions options;
-  options.termination = algo;
+  options.discipline = discipline;
   // Fast self-healing so lossy schedules resolve within test budgets.
   options.context_ttl = Duration(400'000);
   options.retry_backoff = Duration(100);
@@ -149,10 +149,10 @@ struct ChaosCluster {
   std::unique_ptr<Cluster> cluster;
   std::vector<FaultInjectingEndpoint*> injectors;  // owned by the servers
 
-  ChaosCluster(TerminationAlgorithm algo, const FaultOptions& faults,
+  ChaosCluster(WorkSetDiscipline discipline, const FaultOptions& faults,
                std::size_t sites = 3,
                std::function<void(SiteServerOptions&)> tweak = {}) {
-    SiteServerOptions options = chaos_options(algo);
+    SiteServerOptions options = chaos_options(discipline);
     if (tweak) tweak(options);
     injectors.resize(sites, nullptr);
     cluster = std::make_unique<Cluster>(
@@ -267,7 +267,11 @@ void wait_summaries(const std::vector<std::unique_ptr<SiteServer>>& servers) {
   }
 }
 
-class ChaosAlgos : public ::testing::TestWithParam<TerminationAlgorithm> {};
+// The in-process scenarios are parameterized on the sites' work-set
+// discipline and instantiated for the breadth-first default alone: the
+// value parameter keeps each case under the ctest name it had when the
+// suite swept two termination detectors, so its history stays continuous.
+class ChaosAlgos : public ::testing::TestWithParam<WorkSetDiscipline> {};
 
 TEST_P(ChaosAlgos, InProcWorkloadSurvivesFaultSchedules) {
   for (const FaultCase& fc : fault_cases()) {
@@ -357,9 +361,7 @@ TEST_P(ChaosAlgos, KilledSiteAnswersPartialThenRestartRecoversExact) {
   // Durable sites: every acknowledged mutation is WAL-logged, so a killed
   // site restarted from an *empty* store serves exactly what it served
   // before the crash.
-  const std::string wal_dir =
-      ::testing::TempDir() + "/hf_chaos_wal_" +
-      std::to_string(static_cast<int>(GetParam()));
+  const std::string wal_dir = ::testing::TempDir() + "/hf_chaos_wal";
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   ChaosCluster chaos(GetParam(), FaultOptions{}, 3,
@@ -493,9 +495,7 @@ TEST_P(ChaosAlgos, SuspicionAnswersWithinWindowNotTtl) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, ChaosAlgos,
-                         ::testing::Values(
-                             TerminationAlgorithm::kWeightedMessages,
-                             TerminationAlgorithm::kDijkstraScholten));
+                         ::testing::Values(WorkSetDiscipline::kFifo));
 
 // --- TCP transport ------------------------------------------------------
 
@@ -511,11 +511,13 @@ struct TcpChaosDeployment {
   SiteServerOptions options;     // re-applied to restarted servers
   TcpBackend backend;            // re-applied to restarted transports
 
-  TcpChaosDeployment(TerminationAlgorithm algo, TcpBackend backend_in,
+  TcpChaosDeployment(WorkSetDiscipline discipline, TcpBackend backend_in,
                      const FaultOptions& faults_in, SiteId sites = 3,
                      std::function<void(SiteServerOptions&)> tweak = {},
                      bool tree = false)
-      : faults(faults_in), options(chaos_options(algo)), backend(backend_in) {
+      : faults(faults_in),
+        options(chaos_options(discipline)),
+        backend(backend_in) {
     if (tweak) tweak(options);
     // Mirror Cluster: with summaries on and no explicit peer list, every
     // site advertises to every other site.
@@ -615,20 +617,17 @@ struct TcpChaosDeployment {
 // FaultInjectingEndpoint decoration unchanged.
 class TcpChaosMatrix
     : public ::testing::TestWithParam<
-          std::tuple<TerminationAlgorithm, TcpBackend>> {
+          std::tuple<WorkSetDiscipline, TcpBackend>> {
  protected:
-  TerminationAlgorithm algo() const { return std::get<0>(GetParam()); }
+  WorkSetDiscipline discipline() const { return std::get<0>(GetParam()); }
   TcpBackend backend() const { return std::get<1>(GetParam()); }
-  std::string tag() const {
-    return std::to_string(static_cast<int>(algo())) + "_" +
-           to_string(backend());
-  }
+  std::string tag() const { return to_string(backend()); }
 };
 
 TEST_P(TcpChaosMatrix, TcpWorkloadSurvivesFaultSchedules) {
   for (const FaultCase& fc : fault_cases()) {
     SCOPED_TRACE(fc.name);
-    TcpChaosDeployment d(algo(), backend(), fc.faults);
+    TcpChaosDeployment d(discipline(), backend(), fc.faults);
     if (!d.ok) GTEST_SKIP() << "no localhost sockets";
     Query q = parse_or_die(kClosure);
     for (int round = 0; round < 2; ++round) {
@@ -661,7 +660,7 @@ TEST_P(TcpChaosMatrix, TcpKilledSiteAnswersPartialThenRestartRecoversExact) {
   const std::string wal_dir = ::testing::TempDir() + "/hf_tcp_chaos_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(discipline(), backend(), FaultOptions{}, 3,
                        [&](SiteServerOptions& o) { o.wal_dir = wal_dir; });
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -747,7 +746,7 @@ TEST_P(TcpChaosMatrix, PrimaryDeathServesFromReplicaExactOrFlaggedPartial) {
       ::testing::TempDir() + "/hf_tcp_failover_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(discipline(), backend(), FaultOptions{}, 3,
                        enable_replication(wal_dir));
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -762,6 +761,8 @@ TEST_P(TcpChaosMatrix, PrimaryDeathServesFromReplicaExactOrFlaggedPartial) {
   wait_replica_synced(d, /*primary=*/1, /*follower=*/2);
   const std::uint64_t failovers_before =
       metrics().counter("dist.failovers").value();
+  const std::uint64_t lag_samples_before =
+      metrics().histogram("dist.replica_lag_us").count();
   d.kill(1);
 
   // Interim answers (before suspicion converges at every router) may be
@@ -781,6 +782,9 @@ TEST_P(TcpChaosMatrix, PrimaryDeathServesFromReplicaExactOrFlaggedPartial) {
   }
   EXPECT_GT(metrics().counter("dist.failovers").value(), failovers_before)
       << "the exact answer did not come from the failover path";
+  EXPECT_GT(metrics().histogram("dist.replica_lag_us").count(),
+            lag_samples_before)
+      << "a shadow failover recorded no replica_lag_us sample";
 }
 
 TEST_P(TcpChaosMatrix, RevivedPrimaryReclaimsRoutingWithoutSplitBrain) {
@@ -793,7 +797,7 @@ TEST_P(TcpChaosMatrix, RevivedPrimaryReclaimsRoutingWithoutSplitBrain) {
       ::testing::TempDir() + "/hf_tcp_revive_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(discipline(), backend(), FaultOptions{}, 3,
                        enable_replication(wal_dir));
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -893,9 +897,7 @@ TEST_P(ChaosAlgos, RestartReAdvertisesSummaryNoPermanentFalsePrune) {
   // must never keep pruning derefs the recovered site could answer —
   // suspicion drops the cached copy, and the restarted site's higher boot
   // epoch supersedes any stale record still gossiping around.
-  const std::string wal_dir =
-      ::testing::TempDir() + "/hf_summary_wal_" +
-      std::to_string(static_cast<int>(GetParam()));
+  const std::string wal_dir = ::testing::TempDir() + "/hf_summary_wal";
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   ChaosCluster chaos(GetParam(), FaultOptions{}, 3, [&](SiteServerOptions& o) {
@@ -1055,8 +1057,8 @@ TEST_P(TcpChaosMatrix, TcpFaultSchedulesStayExactWithPruning) {
   // (lossless) or flagged (lossy) with pruning live.
   for (const FaultCase& fc : fault_cases()) {
     SCOPED_TRACE(fc.name);
-    TcpChaosDeployment d(algo(), backend(), fc.faults, 3, enable_summaries,
-                         /*tree=*/true);
+    TcpChaosDeployment d(discipline(), backend(), fc.faults, 3,
+                         enable_summaries, /*tree=*/true);
     if (!d.ok) GTEST_SKIP() << "no localhost sockets";
     if (std::string(fc.name) == "none") wait_summaries(d.servers);
     for (std::size_t s = 0; s < d.subchains.size(); ++s) {
@@ -1080,7 +1082,7 @@ TEST_P(TcpChaosMatrix, TcpRestartReAdvertisesSummaryNoPermanentFalsePrune) {
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   TcpChaosDeployment d(
-      algo(), backend(), FaultOptions{}, 3,
+      discipline(), backend(), FaultOptions{}, 3,
       [&](SiteServerOptions& o) {
         o.wal_dir = wal_dir;
         o.suspect_after = Duration(300'000);
@@ -1142,18 +1144,16 @@ TEST_P(TcpChaosMatrix, TcpRestartReAdvertisesSummaryNoPermanentFalsePrune) {
   }
 }
 
+// As for ChaosAlgos: one discipline, and each case keeps the name it had
+// when the matrix also swept a second termination detector ("weighted" is
+// the termination protocol every case runs).
 INSTANTIATE_TEST_SUITE_P(
     AlgosByBackend, TcpChaosMatrix,
-    ::testing::Combine(
-        ::testing::Values(TerminationAlgorithm::kWeightedMessages,
-                          TerminationAlgorithm::kDijkstraScholten),
-        ::testing::Values(TcpBackend::kThreaded, TcpBackend::kEpoll)),
+    ::testing::Combine(::testing::Values(WorkSetDiscipline::kFifo),
+                       ::testing::Values(TcpBackend::kThreaded,
+                                         TcpBackend::kEpoll)),
     [](const ::testing::TestParamInfo<TcpChaosMatrix::ParamType>& info) {
-      const char* algo =
-          std::get<0>(info.param) == TerminationAlgorithm::kWeightedMessages
-              ? "weighted"
-              : "dijkstra_scholten";
-      return std::string(algo) + "_" + to_string(std::get<1>(info.param));
+      return "weighted_" + std::string(to_string(std::get<1>(info.param)));
     });
 
 }  // namespace

@@ -326,13 +326,20 @@ TEST(Cluster, RewriteOnByDefaultPreservesResults) {
   cluster.stop();
 }
 
-class TerminationAlgos
-    : public ::testing::TestWithParam<TerminationAlgorithm> {};
+// Parameterized on the sites' work-set discipline and instantiated for the
+// breadth-first default alone: the value parameter keeps each case under the
+// ctest name it had when the suite swept two termination detectors.
+class TerminationAlgos : public ::testing::TestWithParam<WorkSetDiscipline> {
+ protected:
+  SiteServerOptions options() const {
+    SiteServerOptions o;
+    o.discipline = GetParam();
+    return o;
+  }
+};
 
-TEST_P(TerminationAlgos, ClosureMatchesUnderBothDetectors) {
-  SiteServerOptions options;
-  options.termination = GetParam();
-  Cluster cluster(3, options);
+TEST_P(TerminationAlgos, RepeatedClosureMatchesMergedRun) {
+  Cluster cluster(3, options());
   populate_cross_site_chain(cluster, 30);
   Query q = parse_or_die(kClosure);
   QueryResult expected = expected_on_merged(cluster, q);
@@ -346,9 +353,7 @@ TEST_P(TerminationAlgos, ClosureMatchesUnderBothDetectors) {
 }
 
 TEST_P(TerminationAlgos, PartialResultsOnFailure) {
-  SiteServerOptions options;
-  options.termination = GetParam();
-  Cluster cluster(3, options);
+  Cluster cluster(3, options());
   auto ids = populate_cross_site_chain(cluster, 30);
   cluster.start();
   cluster.stop_site(2);
@@ -359,10 +364,9 @@ TEST_P(TerminationAlgos, PartialResultsOnFailure) {
 }
 
 TEST_P(TerminationAlgos, CountOnlyContinuationWorks) {
-  SiteServerOptions options;
-  options.termination = GetParam();
-  options.batch_remote_derefs = true;  // exercise the combination too
-  Cluster cluster(3, options);
+  SiteServerOptions o = options();
+  o.batch_remote_derefs = true;  // exercise the combination too
+  Cluster cluster(3, o);
   populate_cross_site_chain(cluster, 30);
   cluster.start();
   auto r1 = cluster.client().run(parse_or_die(
@@ -376,28 +380,7 @@ TEST_P(TerminationAlgos, CountOnlyContinuationWorks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, TerminationAlgos,
-                         ::testing::Values(
-                             TerminationAlgorithm::kWeightedMessages,
-                             TerminationAlgorithm::kDijkstraScholten));
-
-TEST(Cluster, DijkstraScholtenSendsAcksWeightedDoesNot) {
-  auto run_with = [](TerminationAlgorithm algo) {
-    SiteServerOptions options;
-    options.termination = algo;
-    Cluster cluster(3, options);
-    populate_cross_site_chain(cluster, 12);
-    cluster.start();
-    auto r = cluster.client().run(parse_or_die(kClosure));
-    EXPECT_TRUE(r.ok());
-    cluster.stop();
-    return cluster.network_stats();
-  };
-  auto weighted = run_with(TerminationAlgorithm::kWeightedMessages);
-  auto ds = run_with(TerminationAlgorithm::kDijkstraScholten);
-  // Same query traffic; only D-S adds acknowledgement messages.
-  EXPECT_EQ(weighted.deref_messages, ds.deref_messages);
-  EXPECT_GT(ds.messages_sent, weighted.messages_sent);
-}
+                         ::testing::Values(WorkSetDiscipline::kFifo));
 
 TEST(Cluster, ConcurrentClientsInterleaveSafely) {
   // Two clients hammer the cluster simultaneously with different queries;

@@ -2,7 +2,7 @@
 // distributed runtime with each site draining its working set on a shared
 // worker pool must be observationally identical to the serial event-loop
 // drain — same result ids, same retrieved values, clean global termination
-// under both detectors, on both transports.
+// — on both transports.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -175,8 +175,8 @@ TEST(ParallelDrain, EngineStatsAggregatedAcrossWorkers) {
 
 // ---------------------------------------------------------------------------
 // Property: for random cross-site graphs, drain_workers ∈ {0, 4} produce the
-// same result-id set and the same retrieved-value set, under both
-// termination detectors, and every context is discarded after QueryDone.
+// same result-id set and the same retrieved-value set, and every context is
+// discarded after QueryDone.
 
 struct GraphObservation {
   std::vector<ObjectId> ids;
@@ -212,11 +212,12 @@ void populate_random_graph(std::uint64_t seed, std::size_t sites,
   store_at(0).create_set("S", std::span<const ObjectId>(ids.data(), 1));
 }
 
-GraphObservation run_inproc(std::uint64_t seed, std::size_t workers,
-                            TerminationAlgorithm algo) {
+GraphObservation run_inproc(
+    std::uint64_t seed, std::size_t workers,
+    WorkSetDiscipline discipline = WorkSetDiscipline::kFifo) {
   SiteServerOptions options;
   options.drain_workers = workers;
-  options.termination = algo;
+  options.discipline = discipline;
   Cluster cluster(3, options);
   populate_random_graph(seed, 3,
                         [&](std::size_t s) -> SiteStore& { return cluster.store(s); });
@@ -234,14 +235,18 @@ GraphObservation run_inproc(std::uint64_t seed, std::size_t workers,
   return out;
 }
 
+// The property suites pair each seed with the sites' work-set discipline,
+// instantiated for the breadth-first default alone: the pair keeps each case
+// under the ctest name it had when the suites swept two termination
+// detectors.
 class ParallelDrainProperty
     : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, TerminationAlgorithm>> {};
+          std::tuple<std::uint64_t, WorkSetDiscipline>> {};
 
 TEST_P(ParallelDrainProperty, SerialAndParallelAgreeInProc) {
-  const auto [seed, algo] = GetParam();
-  GraphObservation serial = run_inproc(seed, 0, algo);
-  GraphObservation parallel = run_inproc(seed, 4, algo);
+  const auto [seed, discipline] = GetParam();
+  GraphObservation serial = run_inproc(seed, 0, discipline);
+  GraphObservation parallel = run_inproc(seed, 4, discipline);
   ASSERT_FALSE(serial.ids.empty());  // seed object always reachable
   EXPECT_EQ(parallel.ids, serial.ids);
   EXPECT_EQ(parallel.names, serial.names);
@@ -249,10 +254,8 @@ TEST_P(ParallelDrainProperty, SerialAndParallelAgreeInProc) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndAlgos, ParallelDrainProperty,
-    ::testing::Combine(
-        ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u),
-        ::testing::Values(TerminationAlgorithm::kWeightedMessages,
-                          TerminationAlgorithm::kDijkstraScholten)));
+    ::testing::Combine(::testing::Values(11u, 12u, 13u, 14u, 15u, 16u),
+                       ::testing::Values(WorkSetDiscipline::kFifo)));
 
 // --- distributed answers vs the single-site oracle -------------------------
 
@@ -269,8 +272,7 @@ TEST(ParallelDrain, SerialAndParallelMatchSingleSiteOracle) {
     std::sort(oracle_names.begin(), oracle_names.end());
     ASSERT_FALSE(oracle.ids.empty());
     for (std::size_t workers : {0u, 4u}) {
-      GraphObservation got = run_inproc(
-          seed, workers, TerminationAlgorithm::kWeightedMessages);
+      GraphObservation got = run_inproc(seed, workers);
       EXPECT_EQ(got.ids, sorted(oracle.ids))
           << "seed=" << seed << " workers=" << workers;
       EXPECT_EQ(got.names, oracle_names)
@@ -322,10 +324,10 @@ struct TcpGraphDeployment {
 
 class ParallelDrainTcpProperty
     : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, TerminationAlgorithm>> {};
+          std::tuple<std::uint64_t, WorkSetDiscipline>> {};
 
 TEST_P(ParallelDrainTcpProperty, SerialAndParallelAgreeOverSockets) {
-  const auto [seed, algo] = GetParam();
+  const auto [seed, discipline] = GetParam();
 
   auto observe = [](TcpGraphDeployment& d) -> GraphObservation {
     GraphObservation out;
@@ -352,8 +354,7 @@ TEST_P(ParallelDrainTcpProperty, SerialAndParallelAgreeOverSockets) {
   };
 
   SiteServerOptions options;
-  options.termination = algo;
-
+  options.discipline = discipline;
   options.drain_workers = 0;
   TcpGraphDeployment serial_dep(seed, options);
   if (!serial_dep.ok) GTEST_SKIP() << "no localhost sockets";
@@ -371,10 +372,8 @@ TEST_P(ParallelDrainTcpProperty, SerialAndParallelAgreeOverSockets) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndAlgos, ParallelDrainTcpProperty,
-    ::testing::Combine(
-        ::testing::Values(21u, 22u),
-        ::testing::Values(TerminationAlgorithm::kWeightedMessages,
-                          TerminationAlgorithm::kDijkstraScholten)));
+    ::testing::Combine(::testing::Values(21u, 22u),
+                       ::testing::Values(WorkSetDiscipline::kFifo)));
 
 }  // namespace
 }  // namespace hyperfile

@@ -149,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Equivalence,
 
 struct ClusterVariant {
   std::uint64_t seed;
-  TerminationAlgorithm termination;
+  WorkSetDiscipline discipline;
   bool batch;
 };
 
@@ -169,7 +169,7 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
   merged.bind_set("S", *ref_a.find_set("S"));
 
   SiteServerOptions options;
-  options.termination = GetParam().termination;
+  options.discipline = GetParam().discipline;
   options.batch_remote_derefs = GetParam().batch;
   Cluster cluster(kSites, options);
   {
@@ -205,19 +205,19 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
   cluster.stop();
 }
 
-constexpr auto kWeighted = TerminationAlgorithm::kWeightedMessages;
-constexpr auto kDS = TerminationAlgorithm::kDijkstraScholten;
+constexpr auto kBfs = WorkSetDiscipline::kFifo;
+constexpr auto kDfs = WorkSetDiscipline::kLifo;
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ClusterEquivalence,
-    ::testing::Values(ClusterVariant{5u, kWeighted, false},
-                      ClusterVariant{15u, kWeighted, false},
-                      ClusterVariant{25u, kWeighted, true},
-                      ClusterVariant{35u, kWeighted, true},
-                      ClusterVariant{45u, kDS, false},
-                      ClusterVariant{65u, kDS, false},
-                      ClusterVariant{75u, kDS, true},
-                      ClusterVariant{85u, kDS, true}));
+    ::testing::Values(ClusterVariant{5u, kBfs, false},
+                      ClusterVariant{15u, kBfs, false},
+                      ClusterVariant{25u, kBfs, true},
+                      ClusterVariant{35u, kBfs, true},
+                      ClusterVariant{45u, kDfs, false},
+                      ClusterVariant{65u, kDfs, false},
+                      ClusterVariant{75u, kDfs, true},
+                      ClusterVariant{85u, kDfs, true}));
 
 }  // namespace
 }  // namespace hyperfile

@@ -2,7 +2,7 @@
 """CI gate for availability under a primary kill (DESIGN.md §18).
 
 Reads a BENCH_availability.json produced by bench/bench_availability and
-fails unless, in every measured cell (backend × detector × replication):
+fails unless, in every measured cell (backend × replication):
 
   * **zero wrong results, ever** — a query during the kill window is
     either exact or a duplicate-free subset flagged `partial`; a cell

@@ -90,8 +90,7 @@ DEDUP_PREDICATE = "already_seen"
 SIDE_EFFECT_CALLS = {
     # weight conservation (term/)
     "repay_weight", "borrow_weight", "repay", "borrow", "split",
-    # distributed-set / D-S termination protocol
-    "ds_on_computation_message", "ds_on_send", "ds_try_settle",
+    # distributed-set / termination protocol
     "note_engagement", "maybe_finish",
     # engine seeding / drains
     "add_item", "seed_local_set", "seed_initial", "drain", "drain_and_flush",

@@ -3,9 +3,8 @@
 PR 3's idempotence contract (DESIGN.md §11): every handler of a sequenced
 computation message must consult the per-sender `already_seen(src, msg_seq)`
 predicate *before* any protocol side effect — store mutation, weight
-borrow/repay, Dijkstra–Scholten accounting, routing. A duplicated frame that
-repays weight or acks before the dedup check breaks conservation exactly the
-way the PR 3 bugs did.
+borrow/repay, routing. A duplicated frame that repays weight before the
+dedup check breaks weight conservation.
 
 Mechanically, for every function in `dist/site_server.cpp` that takes a
 parameter of a sequenced message type (any struct with a `msg_seq` field):
