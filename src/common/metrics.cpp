@@ -36,9 +36,18 @@ std::uint64_t Histogram::quantile_bound(double q) const {
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += bucket(b);
-    if (seen > rank) return std::uint64_t{1} << (b + 1);
+    if (seen > rank) return upper_bound(b);
   }
-  return std::uint64_t{1} << kBuckets;
+  return upper_bound(kBuckets - 1);
+}
+
+std::uint64_t Histogram::upper_bound(std::size_t b) {
+  const std::size_t e = b / kSubBuckets;
+  const std::uint64_t next = kSubBuckets + b % kSubBuckets + 1;  // 5..8
+  // Below 4 a bucket holds the single value (next - 1) >> (2 - e).
+  if (e < 2) return ((next - 1) >> (2 - e)) + 1;
+  if (b + 1 == kBuckets) return UINT64_MAX;  // 2^64 does not fit
+  return next << (e - 2);
 }
 
 MetricsRegistry& MetricsRegistry::global() {

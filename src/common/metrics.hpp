@@ -14,9 +14,10 @@
 //     one uncontended RMW; there is no lock anywhere near inc().
 //   * Gauge     — i64 that can go up and down (live contexts, queue depth).
 //     add()/sub() keep concurrent owners correct where set() would fight.
-//   * Histogram — log2-bucketed u64 samples (1µs..~36min when fed
-//     microseconds), plus exact count/sum. observe() is a handful of relaxed
-//     RMWs; percentiles come out of the dump, not the hot path.
+//   * Histogram — log-linear u64 samples over the whole u64 range (four
+//     sub-buckets per power of two, so a percentile reads at most 25% high),
+//     plus exact count/sum. observe() is a handful of relaxed RMWs;
+//     percentiles come out of the dump, not the hot path.
 //
 // The registry itself is a name -> instrument map behind a Mutex
 // (common/sync.hpp, HF_GUARDED_BY-annotated). Lookup interns the instrument
@@ -36,6 +37,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -73,11 +75,17 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Log2-bucketed latency/size histogram. Sample v lands in bucket
-/// floor(log2(v)) (v == 0 in bucket 0), so bucket b covers [2^b, 2^(b+1)).
+/// Log-linear latency/size histogram, HdrHistogram-style: each power of
+/// two [2^e, 2^(e+1)) is split into kSubBuckets equal sub-buckets, indexed
+/// e * kSubBuckets + (the two bits after the leading one). So
+/// bucket_of(v) / kSubBuckets == floor(log2(v)), and a sub-bucket's upper
+/// bound is at most 25% above any sample of 4 or more in it. Below 4 each
+/// value has a bucket of its own (v == 0 shares bucket 0 with 1), and some
+/// of the first eight indices stay unused.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 32;
+  static constexpr std::size_t kSubBuckets = 4;
+  static constexpr std::size_t kBuckets = 64 * kSubBuckets;
 
   void observe(std::uint64_t v) {
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -94,18 +102,20 @@ class Histogram {
     const std::uint64_t n = count();
     return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
   }
-  /// Upper bound (exclusive) of the bucket holding the q-quantile,
-  /// q in [0, 1]. Coarse by construction (log2 buckets) but race-free.
+  /// Upper bound (exclusive) of the sub-bucket holding the q-quantile,
+  /// q in [0, 1]: at most 25% above the sample for samples of 4 or more.
+  /// Race-free; UINT64_MAX stands for 2^64 in the top sub-bucket.
   std::uint64_t quantile_bound(double q) const;
 
   static std::size_t bucket_of(std::uint64_t v) {
-    std::size_t b = 0;
-    while (v > 1 && b + 1 < kBuckets) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
+    if (v == 0) return 0;
+    const auto e = static_cast<std::size_t>(std::bit_width(v)) - 1;
+    // The leading one and the two bits after it, as a value in [4, 8).
+    const std::uint64_t top = e >= 2 ? v >> (e - 2) : v << (2 - e);
+    return e * kSubBuckets + static_cast<std::size_t>(top & 3);
   }
+  /// Smallest value above bucket `b` (exclusive upper bound).
+  static std::uint64_t upper_bound(std::size_t b);
 
  private:
   std::atomic<std::uint64_t> count_{0};

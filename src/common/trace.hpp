@@ -9,8 +9,10 @@
 // Mechanism: every computation message (StartQuery / DerefRequest /
 // BatchDerefRequest) carries a hop number and the site path that produced
 // it. Each site keeps ONE TraceSpan per (query, site) — cumulative counters
-// on the site's own monotonic clock — and piggybacks it on the
-// ResultMessages it already sends to the originator. The originator merges
+// on the site's own monotonic clock — and piggybacks it on every frame that
+// returns its termination weight: a ResultMessage to the originator, or the
+// weight-carrying last dereference of a drain, which also relays the spans
+// that reached the site that way (DESIGN.md §4). The originator merges
 // spans field-wise by max (the counters are cumulative and monotonic, so a
 // duplicate-suppressed redelivery merges to the same state — idempotent by
 // construction, no double-recording) and hands the assembled QueryTrace to

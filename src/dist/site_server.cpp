@@ -495,16 +495,40 @@ void SiteServer::note_engagement(Participation& p, std::uint32_t hop,
   p.out_path = std::move(with_self);
 }
 
-bool SiteServer::stale_own_query(const wire::QueryId& qid, SiteId src) {
+bool SiteServer::stale_own_query(const wire::QueryId& qid, SiteId src,
+                                 const std::vector<TraceSpan>& spans) {
   if (qid.originator != store_.site()) return false;
   if (find_origination(qid) != nullptr) return false;
   // A retried or wire-duplicated message outlived the query it belongs to.
   // Re-announce completion (the sender's QueryDone may have been the lost
   // message) instead of recreating a context that nothing would ever close.
-  if (src != store_.site() && src != kNoSite) {
-    (void)endpoint_->send(src, wire::QueryDone{qid});
+  // A straggler can recreate contexts on its way here, and each one it
+  // passed through relays its span on the frame, so those sites hear it too.
+  std::set<SiteId> tell{src};
+  for (const TraceSpan& s : spans) tell.insert(s.site);
+  for (SiteId site : tell) {
+    if (site != store_.site() && site != kNoSite) {
+      (void)endpoint_->send(site, wire::QueryDone{qid});
+    }
   }
   return true;
+}
+
+void SiteServer::absorb_spans(const wire::QueryId& qid,
+                              std::vector<TraceSpan> spans) {
+  if (Origination* o = find_origination(qid)) {
+    for (TraceSpan& s : spans) {
+      o->involved.insert(s.site);
+      merge_into(o->spans[s.site], s);
+    }
+    return;
+  }
+  auto it = contexts_.find(qid);
+  if (it == contexts_.end()) return;
+  for (TraceSpan& s : spans) {
+    // Our own span, relayed back to us, is older than the live one.
+    if (s.site != store_.site()) merge_into(it->second.relayed[s.site], s);
+  }
 }
 
 void SiteServer::sweep_contexts() {
@@ -1210,6 +1234,34 @@ void SiteServer::repay_weight(const wire::QueryId& qid, Participation& p,
   }
 }
 
+Weight SiteServer::take_weight(const wire::QueryId& qid, Participation& p,
+                               bool carry_all,
+                               std::vector<TraceSpan>& spans) {
+  if (!carry_all) return borrow_weight(qid, p);
+  spans.reserve(1 + p.relayed.size());
+  spans.push_back(p.span);
+  for (const auto& [site, span] : p.relayed) spans.push_back(span);
+  return p.weight.release_all();
+}
+
+void SiteServer::settle_weight(const wire::QueryId& qid, Participation& p,
+                               Weight w, bool carry_all, bool sent) {
+  if (!sent) {
+    repay_weight(qid, p, std::move(w));
+  } else if (carry_all) {
+    p.relayed.clear();
+  }
+}
+
+void SiteServer::note_dropped(const wire::QueryId& qid, Participation& p,
+                              std::uint64_t n) {
+  if (Origination* o = find_origination(qid)) {
+    o->dropped_items += n;
+  } else {
+    p.dropped += n;
+  }
+}
+
 void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
                               WorkItem item) {
   const SiteId self = store_.site();
@@ -1264,11 +1316,7 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
       send_to = standby;
     }
     if (send_to == dest) {
-      if (Origination* o = find_origination(qid)) {
-        ++o->dropped_items;
-      } else {
-        ++p.dropped;
-      }
+      note_dropped(qid, p, 1);
       return;
     }
   }
@@ -1294,71 +1342,93 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
     return;
   }
 
-  Weight w = borrow_weight(qid, p);
+  OutgoingDeref d{std::move(item), dest, send_to};
+  if (find_origination(qid) != nullptr) {
+    (void)send_deref(qid, p, std::move(d), /*carry_all=*/false);
+    return;
+  }
+  // Participant: the newest dereference waits in the one-slot buffer, in
+  // case it turns out to be the drain's last; the one it displaces leaves
+  // now with a borrowed share, so remote work still starts mid-drain.
+  if (p.last_deref.has_value()) {
+    (void)send_deref(qid, p, std::move(*p.last_deref), /*carry_all=*/false);
+  }
+  p.last_deref = std::move(d);
+}
+
+bool SiteServer::send_deref(const wire::QueryId& qid, Participation& p,
+                            OutgoingDeref d, bool carry_all) {
   wire::DerefRequest dr;
   dr.qid = qid;
   dr.query = p.exec->query();
-  dr.oid = item.id;
-  dr.oid.presumed_site = dest;
-  dr.start = item.start;
-  dr.iter_stack = item.iter_stack;
-  dr.weight = w.exponents();
+  dr.oid = d.item.id;
+  dr.oid.presumed_site = d.dest;
+  dr.start = d.item.start;
+  dr.iter_stack = std::move(d.item.iter_stack);
   dr.msg_seq = next_msg_seq_++;
   dr.hop = p.current_hop + 1;
   dr.path = p.out_path;
-  if (auto r = send_with_retry(send_to, wire::Message(std::move(dr)), &p.span);
-      !r.ok()) {
+  ++p.span.forwarded;  // a carried span counts the frame carrying it
+  Weight w = take_weight(qid, p, carry_all, dr.spans);
+  dr.weight = w.exponents();
+  auto r = send_with_retry(d.send_to, wire::Message(std::move(dr)), &p.span);
+  settle_weight(qid, p, std::move(w), carry_all, r.ok());
+  if (!r.ok()) {
     // Site unreachable even after retries: drop the item but keep its
     // weight, so the query terminates with partial results instead of
     // hanging (paper Section 1: "Partial results are better than none at
     // all") — and record the loss so the reply is flagged partial.
-    HF_DEBUG << "site " << self << ": deref to site " << send_to
+    HF_DEBUG << "site " << store_.site() << ": deref to site " << d.send_to
              << " failed (" << r.error().to_string() << "); dropping item";
-    repay_weight(qid, p, std::move(w));
-    if (Origination* o = find_origination(qid)) {
-      ++o->dropped_items;
-    } else {
-      ++p.dropped;
-    }
-    return;
+    --p.span.forwarded;
+    note_dropped(qid, p, 1);
+    return false;
   }
-  ++p.span.forwarded;
-  if (Origination* o = find_origination(qid)) o->involved.insert(send_to);
+  if (Origination* o = find_origination(qid)) o->involved.insert(d.send_to);
+  return true;
 }
 
-void SiteServer::flush_batches(const wire::QueryId& qid, Participation& p) {
+bool SiteServer::flush_batches(const wire::QueryId& qid, Participation& p,
+                               bool carry_all) {
+  std::size_t left = 0;
+  for (const auto& [dest, items] : p.pending_batches) {
+    if (!items.empty()) ++left;
+  }
+  bool carried = false;
   for (auto& [dest, items] : p.pending_batches) {
     if (items.empty()) continue;
+    // Batches that fail before the last one leave dropped items to report,
+    // and only a ResultMessage reports them.
+    const bool carrier = carry_all && --left == 0 && p.dropped == 0;
     const std::uint64_t batch_size = items.size();
-    Weight w = borrow_weight(qid, p);
     wire::BatchDerefRequest bd;
     bd.qid = qid;
     bd.query = p.exec->query();
     bd.items = std::move(items);
-    bd.weight = w.exponents();
     bd.msg_seq = next_msg_seq_++;
     bd.hop = p.current_hop + 1;
     bd.path = p.out_path;
-    if (auto r = send_with_retry(dest, wire::Message(std::move(bd)), &p.span);
-        !r.ok()) {
+    p.span.forwarded += batch_size;
+    Weight w = take_weight(qid, p, carrier, bd.spans);
+    bd.weight = w.exponents();
+    auto r = send_with_retry(dest, wire::Message(std::move(bd)), &p.span);
+    settle_weight(qid, p, std::move(w), carrier, r.ok());
+    if (!r.ok()) {
       HF_DEBUG << "site " << store_.site() << ": batch deref to site " << dest
                << " failed (" << r.error().to_string() << "); dropping batch";
-      repay_weight(qid, p, std::move(w));
-      if (Origination* o = find_origination(qid)) {
-        o->dropped_items += batch_size;
-      } else {
-        p.dropped += batch_size;
-      }
+      p.span.forwarded -= batch_size;
+      note_dropped(qid, p, batch_size);
       continue;
     }
-    p.span.forwarded += batch_size;
+    carried = carrier;
     if (Origination* o = find_origination(qid)) o->involved.insert(dest);
   }
   p.pending_batches.clear();
+  return carried;
 }
 
 void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
-  if (stale_own_query(dr.qid, src)) return;
+  if (stale_own_query(dr.qid, src, dr.spans)) return;
   Participation& p = participation(dr.qid, dr.query);
   // Dedup before any bookkeeping: repaying a replayed message's weight a
   // second time would push held weight past one.
@@ -1370,6 +1440,7 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   p.last_activity = now_tick();
   note_engagement(p, dr.hop, dr.path);
   repay_weight(dr.qid, p, Weight::from_exponents(dr.weight));
+  absorb_spans(dr.qid, std::move(dr.spans));
 
   // Prune effectiveness accounting: if our own current summary would have
   // pruned this message, the sender paid for it anyway — its cache of us
@@ -1395,7 +1466,7 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
 }
 
 void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
-  if (stale_own_query(bd.qid, src)) return;
+  if (stale_own_query(bd.qid, src, bd.spans)) return;
   Participation& p = participation(bd.qid, bd.query);
   if (already_seen(p.seen, src, bd.msg_seq)) {  // see handle_deref
     ++p.span.duplicates;
@@ -1405,6 +1476,7 @@ void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
   p.last_activity = now_tick();
   note_engagement(p, bd.hop, bd.path);
   repay_weight(bd.qid, p, Weight::from_exponents(bd.weight));
+  absorb_spans(bd.qid, std::move(bd.spans));
   for (wire::DerefEntry& entry : bd.items) {
     WorkItem item;
     item.id = entry.oid;
@@ -1423,7 +1495,7 @@ void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
 }
 
 void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
-  if (stale_own_query(sq.qid, src)) return;
+  if (stale_own_query(sq.qid, src, {})) return;
   Participation& p = participation(sq.qid, sq.query);
   if (already_seen(p.seen, src, sq.msg_seq)) {  // see handle_deref
     ++p.span.duplicates;
@@ -1484,7 +1556,6 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   ++p.span.drains;
   p.span.drain_us += drain_us;
   metrics().histogram("dist.drain_us").observe(drain_us);
-  flush_batches(qid, p);
 
   const Query& query = p.exec->query();
   std::vector<ObjectId> ids = p.exec->take_result_ids();
@@ -1503,16 +1574,26 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   // the count travels (paper Section 5's distributed-set optimisation).
   std::uint64_t local_count = 0;
   if (query.count_only()) {
-    p.retained.insert(p.retained.end(), ids.begin(), ids.end());
-    local_count = ids.size();
-    if (!query.result_set_name().empty() && !ids.empty()) {
-      store_.create_set(query.result_set_name(), p.retained);
+    const std::string& name = query.result_set_name();
+    if (!name.empty() && !ids.empty()) {
+      // The query's first drain with results creates this site's portion;
+      // later drains append only their new members, so the WAL grows with
+      // the portion, not with drains × portion. Another query binding the
+      // same name meanwhile erased the portion (create_set): the name is
+      // that query's now, and these members stay out of it.
+      if (!p.portion.valid()) {
+        p.portion = store_.create_set(name, ids);
+      } else {
+        (void)store_.append_to_set(p.portion, ids);
+      }
     }
+    local_count = ids.size();
     ids.clear();
     vals.clear();
   }
 
   if (Origination* o = find_origination(qid)) {
+    flush_batches(qid, p, /*carry_all=*/false);
     if (query.count_only()) {
       o->total_count += local_count;
       o->site_counts[store_.site()] += local_count;
@@ -1529,9 +1610,27 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
     return;
   }
 
-  // Participant: results + every bit of held weight go straight to the
-  // originating site ("no intermediate site need be involved"). Results
-  // stashed by an earlier failed send ride along.
+  // Participant. With nothing to report, the drain's last dereference (or
+  // last batch) carries every bit of held weight and the spans, and no
+  // ResultMessage is sent. A failed send drops items, which is itself
+  // something to report, so a ResultMessage follows: after the last send
+  // fails, or when an earlier batch failed and the last kept the weight.
+  const bool report = !ids.empty() || !vals.empty() || local_count > 0 ||
+                      !p.pending_ids.empty() || !p.pending_values.empty() ||
+                      p.pending_count > 0 || p.dropped > 0;
+  if (flush_batches(qid, p, /*carry_all=*/!report)) return;
+  if (p.last_deref.has_value()) {
+    OutgoingDeref last = std::move(*p.last_deref);
+    p.last_deref.reset();
+    if (send_deref(qid, p, std::move(last), /*carry_all=*/!report) &&
+        !report) {
+      return;
+    }
+  }
+
+  // Results + every bit of held weight go straight to the originating site
+  // ("no intermediate site need be involved"). Results stashed by an
+  // earlier failed send ride along.
   wire::ResultMessage rm;
   rm.qid = qid;
   rm.count_only = query.count_only();
@@ -1544,14 +1643,15 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   }
   rm.dropped_items = p.dropped;
   rm.msg_seq = next_msg_seq_++;
-  rm.spans = {p.span};
-  Weight held = p.weight.release_all();
+  Weight held = take_weight(qid, p, /*carry_all=*/true, rm.spans);
   rm.weight = held.exponents();
   p.pending_ids.clear();
   p.pending_values.clear();
   p.pending_count = 0;
   const wire::Message msg(std::move(rm));
-  if (auto r = send_with_retry(qid.originator, msg, &p.span); !r.ok()) {
+  auto r = send_with_retry(qid.originator, msg, &p.span);
+  settle_weight(qid, p, std::move(held), /*carry_all=*/true, r.ok());
+  if (!r.ok()) {
     // Keep everything: weight back in the participant's purse, results in
     // the pending stash. The TTL sweep re-attempts delivery, so a transient
     // outage loses nothing and a permanent one still terminates (the
@@ -1559,7 +1659,6 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
     HF_DEBUG << "site " << store_.site() << ": result to originator "
              << qid.originator << " failed: " << r.error().to_string();
     const auto& failed = std::get<wire::ResultMessage>(msg);
-    p.weight.receive(std::move(held));
     p.pending_ids = failed.ids;
     p.pending_values = failed.values;
     p.pending_count = failed.local_count;
@@ -1569,16 +1668,12 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
 }
 
 void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
+  // Stale result for a finished (or expired) query: the sender evidently
+  // missed QueryDone — re-announce it so the participant context closes,
+  // but merge nothing.
+  if (stale_own_query(rm.qid, src, rm.spans)) return;
   Origination* o = find_origination(rm.qid);
-  if (o == nullptr) {
-    // Stale result for a finished (or expired) query: the sender evidently
-    // missed QueryDone — re-announce it so the participant context closes,
-    // but merge nothing.
-    if (src != store_.site()) {
-      (void)endpoint_->send(src, wire::QueryDone{rm.qid});
-    }
-    return;
-  }
+  if (o == nullptr) return;
   // Dedup BEFORE weight/count bookkeeping: a replayed ResultMessage would
   // double-count local_count, re-insert values, and over-repay weight
   // (Weight::add past one throws).
@@ -1590,7 +1685,7 @@ void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
   // Merge piggybacked span snapshots. Field-wise max keeps this idempotent,
   // so even a duplicate that slipped past msg_seq dedup (e.g. a retry with
   // a fresh seq) cannot inflate the trace.
-  for (const TraceSpan& s : rm.spans) merge_into(o->spans[s.site], s);
+  absorb_spans(rm.qid, std::move(rm.spans));
   o->involved.insert(src);
   o->term.repay(Weight::from_exponents(rm.weight));
   o->dropped_items += rm.dropped_items;

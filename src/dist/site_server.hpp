@@ -13,6 +13,8 @@
 //   * DerefRequest  — install context if new, enqueue (id, start, iter#),
 //     drain, then send accumulated results + all held termination weight
 //     straight to the originator (results never flow along pointer paths).
+//     A drain with nothing to report returns its weight on its last
+//     outgoing dereference instead (see below).
 //   * StartQuery    — like DerefRequest but seeds several ids and/or this
 //     site's local portion of a named set (distributed-set continuation).
 //   * ClientRequest — this site becomes the query's *originating site*: it
@@ -25,15 +27,22 @@
 //
 // During a drain, dereferences of non-local objects become DerefRequests
 // sent to the target's presumed site with a borrowed share of our weight.
-// If a send fails (site down / channel closed), the weight is repaid and the
-// item dropped: the query still terminates with partial results, honoring
-// the paper's "partial results are better than none at all".
+// A participant holds the drain's last one back: when the drain ends with
+// no ids, values, count, stashed results or dropped items to report, that
+// dereference leaves with *all* held weight and the trace spans, and no
+// ResultMessage is sent (the paper's §4 idle site giving its weight to the
+// message it sends). The originator keeps the master weight and never
+// holds. If a send fails (site down / channel closed), the weight is repaid
+// and the item dropped: the query still terminates with partial results,
+// honoring the paper's "partial results are better than none at all".
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -227,6 +236,14 @@ class SiteServer {
   HF_ANY_THREAD HF_BLOCKING SiteStore store_copy();
 
  private:
+  /// A remote dereference decided by route_remote: `item` presumed at
+  /// `dest`, sent to `send_to` (the suspect's standby after a failover).
+  struct OutgoingDeref {
+    WorkItem item;
+    SiteId dest = kNoSite;
+    SiteId send_to = kNoSite;
+  };
+
   struct Participation {
     /// Serial QueryExecution, or ParallelExecution when drain_workers > 0.
     std::unique_ptr<SiteExecution> exec;
@@ -247,11 +264,21 @@ class SiteServer {
       return true;
     }
     WeightedTerminationParticipant weight;
-    /// count_only: ids retained locally instead of shipped.
-    std::vector<ObjectId> retained;
+    /// count_only with a result set name: this site's portion of the set,
+    /// created on the query's first drain with results and appended to by
+    /// later drains. Invalid until then.
+    ObjectId portion;
     /// (id, start) pairs already forwarded for objects absent here —
     /// prevents forwarding ping-pong when location records are stale.
     std::set<std::pair<ObjectId, std::uint32_t>> forwarded;
+    /// The current drain's last remote dereference (participants, without
+    /// batching): held until the drain ends, then sent with all held
+    /// weight when there is nothing else to report. Empty between messages.
+    std::optional<OutgoingDeref> last_deref;
+    /// Spans relayed here on weight-carrying frames and not yet delivered,
+    /// one per site (merged by max). They leave with this site's next
+    /// weight return, whether a dereference or a ResultMessage.
+    std::map<SiteId, TraceSpan> relayed;
     /// With batch_remote_derefs: dereferences buffered per destination
     /// during the current drain, flushed as one message each.
     std::unordered_map<SiteId, std::vector<wire::DerefEntry>> pending_batches;
@@ -270,7 +297,7 @@ class SiteServer {
     std::chrono::steady_clock::time_point last_activity;
 
     /// This site's cumulative trace span for the query (common/trace.hpp);
-    /// piggybacked on every ResultMessage to the originator.
+    /// rides every frame that returns this site's weight.
     TraceSpan span;
     /// Hop number of the most recent engaging message; dereferences
     /// forwarded from here carry current_hop + 1.
@@ -291,7 +318,8 @@ class SiteServer {
     std::vector<wire::RetrievedValue> values;
     std::uint64_t total_count = 0;
     std::unordered_map<SiteId, std::uint64_t> site_counts;  // count_only mode
-    std::unordered_set<SiteId> involved;  // sites we heard from / sent to
+    /// Sites we sent to, heard from, or received a relayed span of.
+    std::unordered_set<SiteId> involved;
     /// Duplicate suppression for ResultMessages, per sender (see
     /// Participation::seen).
     std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
@@ -303,7 +331,9 @@ class SiteServer {
     bool replied = false;
     /// Participant span snapshots, merged field-wise by max so a
     /// duplicate-suppressed redelivery cannot double-record
-    /// (common/trace.hpp). The originator's own span joins at reply time.
+    /// (common/trace.hpp). They arrive on ResultMessages and on
+    /// weight-carrying dereferences. The originator's own span joins at
+    /// reply time.
     std::unordered_map<SiteId, TraceSpan> spans;
     /// Request arrival on this site's clock; the reply's elapsed_us.
     std::chrono::steady_clock::time_point started;
@@ -362,10 +392,18 @@ class SiteServer {
                                                 wire::ClientRequest cr);
   HF_EVENT_LOOP_ONLY void handle_done(const wire::QueryDone& qd);
   /// The qid names a query *we* originated that is no longer live: a
-  /// duplicated or retried message outlived its query. Heal the sender by
-  /// (re)telling it the query is done; never recreate a context.
+  /// duplicated or retried message outlived its query. Heal the sender,
+  /// and every site whose span the frame relays, by (re)telling them the
+  /// query is done; never recreate a context.
   HF_EVENT_LOOP_ONLY bool stale_own_query(const wire::QueryId& qid,
-                                           SiteId src);
+                                           SiteId src,
+                                           const std::vector<TraceSpan>& spans);
+  /// Fold spans carried by an accepted frame. At the originator they merge
+  /// into the trace and each span's site joins `involved`; at a participant
+  /// they join the relay buffer. Mutates protocol state, so the hfverify
+  /// ordering rule lists it: it must never run before the dedup guard.
+  HF_EVENT_LOOP_ONLY void absorb_spans(const wire::QueryId& qid,
+                                        std::vector<TraceSpan> spans);
   HF_EVENT_LOOP_ONLY void handle_move_command(SiteId src,
                                                const wire::MoveCommand& mc);
   HF_EVENT_LOOP_ONLY void handle_move_data(wire::MoveData md);
@@ -463,13 +501,24 @@ class SiteServer {
 
   /// Route `item` to a remote site as a DerefRequest: destination is the
   /// id's presumed site, or the name registry's next hop when the hint
-  /// points here. Borrows termination weight for the message; repays and
-  /// drops the item if no destination exists or the send fails. With
-  /// batching enabled the item is buffered instead (see flush_batches).
+  /// points here. The originator sends at once; a participant holds the
+  /// item in `last_deref` and sends the one it displaces. Drops the item if
+  /// no destination exists. With batching enabled the item is buffered
+  /// instead (see flush_batches).
   HF_EVENT_LOOP_ONLY void route_remote(const wire::QueryId& qid,
                                         Participation& p, WorkItem item);
-  HF_EVENT_LOOP_ONLY void flush_batches(const wire::QueryId& qid,
-                                         Participation& p);
+  /// Send one DerefRequest with the weight take_weight gives it. On
+  /// failure the weight is repaid and the item counted dropped. True iff
+  /// sent.
+  HF_EVENT_LOOP_ONLY bool send_deref(const wire::QueryId& qid,
+                                      Participation& p, OutgoingDeref d,
+                                      bool carry_all);
+  /// Ship the drain's buffered batches, one BatchDerefRequest per
+  /// destination. With `carry_all` the last one takes all held weight and
+  /// the outgoing spans, like send_deref, unless an earlier batch failed
+  /// (its dropped items need a ResultMessage); true iff that one was sent.
+  HF_EVENT_LOOP_ONLY bool flush_batches(const wire::QueryId& qid,
+                                         Participation& p, bool carry_all);
 
   /// Borrow / repay weight for qid: from the master weight if we originated
   /// it, else from the participant's held weight.
@@ -477,6 +526,24 @@ class SiteServer {
                                            Participation& p);
   HF_EVENT_LOOP_ONLY void repay_weight(const wire::QueryId& qid,
                                         Participation& p, Weight w);
+  /// The weight one outgoing frame carries: a borrowed share, or with
+  /// `carry_all` (a participant's weight return, DESIGN.md §4) all held
+  /// weight, with the participant's own cumulative span and every relayed
+  /// span not yet delivered written to `spans`. Every frame that takes
+  /// weight here hands it to settle_weight once its send is done.
+  HF_EVENT_LOOP_ONLY Weight take_weight(const wire::QueryId& qid,
+                                         Participation& p, bool carry_all,
+                                         std::vector<TraceSpan>& spans);
+  /// A failed send's weight goes back where it came from; a sent weight
+  /// return has delivered the relayed spans.
+  HF_EVENT_LOOP_ONLY void settle_weight(const wire::QueryId& qid,
+                                         Participation& p, Weight w,
+                                         bool carry_all, bool sent);
+  /// Count `n` work items lost to a failed or impossible send, so the
+  /// reply is flagged partial: at the originator directly, else on the
+  /// participant's next ResultMessage.
+  HF_EVENT_LOOP_ONLY void note_dropped(const wire::QueryId& qid,
+                                        Participation& p, std::uint64_t n);
 
   std::unique_ptr<MessageEndpoint> endpoint_;
   SiteStore store_;

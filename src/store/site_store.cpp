@@ -6,10 +6,11 @@
 namespace hyperfile {
 
 // WAL shadowing: every mutator funnels its post-state through log_put /
-// log_erase / bind_set so an attached log sees exactly the acknowledged
-// mutations, in order. Append failures are surfaced as warnings rather than
-// failing the mutation — the store stays authoritative in memory; a sick
-// disk degrades durability, not availability (DESIGN.md §13).
+// log_erase / bind_set, or its delta through append_to_set, so an attached
+// log sees exactly the acknowledged mutations, in order. Append failures
+// are surfaced as warnings rather than failing the mutation — the store
+// stays authoritative in memory; a sick disk degrades durability, not
+// availability (DESIGN.md §13).
 void SiteStore::log_put(const Object& obj) {
   if (wal_ == nullptr) return;
   // hfverify: allow-blocking(wal-append): redo-before-ack — the mutation
@@ -39,6 +40,16 @@ void SiteStore::apply_wal_record(const WalRecord& rec) {
       break;
     case WalRecord::Op::kBindSet:
       named_sets_[rec.name] = rec.id;
+      break;
+    case WalRecord::Op::kSetAppend:
+      // Positional: a set of any other size already holds these members (a
+      // checkpoint taken after the append) or was rewritten by a later put.
+      if (auto it = objects_.find(rec.id);
+          it != objects_.end() && it->second.size() == rec.set_size) {
+        for (const ObjectId& m : rec.members) {
+          it->second.add(Tuple::pointer(kSetMemberKey, m));
+        }
+      }
       break;
   }
   // next_seq only ever moves forward: a record's snapshot of the allocator
@@ -167,6 +178,29 @@ ObjectId SiteStore::create_set(const std::string& name,
   const ObjectId id = put(std::move(set_obj));
   bind_set(name, id);
   return id;
+}
+
+Result<void> SiteStore::append_to_set(const ObjectId& set,
+                                      std::span<const ObjectId> members) {
+  auto it = objects_.find(set);
+  if (it == objects_.end()) {
+    return make_error(Errc::kNotFound, "no set object " + set.to_string());
+  }
+  const std::uint64_t set_size = it->second.size();
+  for (const ObjectId& m : members) {
+    it->second.add(Tuple::pointer(kSetMemberKey, m));
+  }
+  ++version_;
+  if (wal_ == nullptr) return {};
+  // hfverify: allow-blocking(wal-append): redo-before-ack (DESIGN.md §13).
+  if (auto r = wal_->append(WalRecord::set_append(
+          set, set_size, std::vector<ObjectId>(members.begin(), members.end()),
+          next_seq_));
+      !r.ok()) {
+    HF_WARN << "site " << site_ << ": WAL append failed: "
+            << r.error().message;
+  }
+  return {};
 }
 
 void SiteStore::bind_set(const std::string& name, const ObjectId& id) {

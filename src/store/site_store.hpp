@@ -113,6 +113,13 @@ class SiteStore {
   HF_EVENT_LOOP_ONLY ObjectId create_set(const std::string& name,
                                          std::span<const ObjectId> members);
 
+  /// Add `members` to the set object `set` (as create_set returned it).
+  /// Logs only the new members (WalRecord::kSetAppend), so a set grown in
+  /// n steps costs O(total members) of WAL, not O(n × size). kNotFound when
+  /// the object is gone, e.g. erased by a later create_set of its name.
+  HF_EVENT_LOOP_ONLY Result<void> append_to_set(
+      const ObjectId& set, std::span<const ObjectId> members);
+
   /// Bind `name` to an existing object that acts as a set.
   HF_EVENT_LOOP_ONLY void bind_set(const std::string& name,
                                    const ObjectId& id);

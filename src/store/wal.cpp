@@ -58,6 +58,18 @@ WalRecord WalRecord::bind_set(std::string name, const ObjectId& id,
   return rec;
 }
 
+WalRecord WalRecord::set_append(const ObjectId& set_id, std::uint64_t set_size,
+                                std::vector<ObjectId> members,
+                                LocalSeq next_seq) {
+  WalRecord rec;
+  rec.op = Op::kSetAppend;
+  rec.next_seq = next_seq;
+  rec.id = set_id;
+  rec.set_size = set_size;
+  rec.members = std::move(members);
+  return rec;
+}
+
 wire::Bytes encode_wal_record(const WalRecord& rec) {
   wire::Encoder e;
   e.u8(static_cast<std::uint8_t>(rec.op));
@@ -72,6 +84,12 @@ wire::Bytes encode_wal_record(const WalRecord& rec) {
     case WalRecord::Op::kBindSet:
       e.string(rec.name);
       wire::encode(e, rec.id);
+      break;
+    case WalRecord::Op::kSetAppend:
+      wire::encode(e, rec.id);
+      e.varint(rec.set_size);
+      e.varint(rec.members.size());
+      for (const ObjectId& m : rec.members) wire::encode(e, m);
       break;
   }
   return e.take();
@@ -109,6 +127,27 @@ Result<WalRecord> decode_wal_record(std::span<const std::uint8_t> payload) {
       if (!id.ok()) return id.error();
       rec.name = std::move(name).value();
       rec.id = id.value();
+      break;
+    }
+    case static_cast<std::uint8_t>(WalRecord::Op::kSetAppend): {
+      rec.op = WalRecord::Op::kSetAppend;
+      auto id = wire::decode_object_id(d);
+      if (!id.ok()) return id.error();
+      rec.id = id.value();
+      auto set_size = d.varint();
+      if (!set_size.ok()) return set_size.error();
+      rec.set_size = set_size.value();
+      auto n = d.varint();
+      if (!n.ok()) return n.error();
+      if (n.value() > d.remaining()) {
+        return make_error(Errc::kDecode, "set-append length exceeds input");
+      }
+      rec.members.reserve(static_cast<std::size_t>(n.value()));
+      for (std::uint64_t i = 0; i < n.value(); ++i) {
+        auto m = wire::decode_object_id(d);
+        if (!m.ok()) return m.error();
+        rec.members.push_back(m.value());
+      }
       break;
     }
     default:

@@ -44,18 +44,32 @@ namespace hyperfile {
 /// mutation, so replay can restore it monotonically (a replayed id is never
 /// handed out again).
 struct WalRecord {
-  enum class Op : std::uint8_t { kPut = 1, kErase = 2, kBindSet = 3 };
+  enum class Op : std::uint8_t {
+    kPut = 1,
+    kErase = 2,
+    kBindSet = 3,
+    /// New members appended to an existing set object: logs only the
+    /// members, where a kPut would log the whole grown set again. It is
+    /// positional, so replaying it is idempotent like the other ops: it
+    /// applies only to a set object of exactly `set_size` tuples.
+    kSetAppend = 4,
+  };
 
   Op op = Op::kPut;
   LocalSeq next_seq = 0;
   Object object;    // kPut: full post-mutation object state
-  ObjectId id;      // kErase / kBindSet
+  ObjectId id;      // kErase / kBindSet / kSetAppend (the set object)
   std::string name; // kBindSet
+  std::vector<ObjectId> members;  // kSetAppend
+  std::uint64_t set_size = 0;     // kSetAppend: set tuples before the append
 
   static WalRecord put(Object obj, LocalSeq next_seq);
   static WalRecord erase(const ObjectId& id, LocalSeq next_seq);
   static WalRecord bind_set(std::string name, const ObjectId& id,
                             LocalSeq next_seq);
+  static WalRecord set_append(const ObjectId& set_id, std::uint64_t set_size,
+                              std::vector<ObjectId> members,
+                              LocalSeq next_seq);
 };
 
 /// Encode/decode one record payload (without the length/checksum framing) —

@@ -8,8 +8,12 @@
 //  * Every computation message (remote dereference, start-query) carries a
 //    nonzero portion of the sender's held weight.
 //  * A participant accumulates the weight of every message it receives; when
-//    its local working set drains it sends all held weight back to the
-//    originator (piggybacked on the result message).
+//    its local working set drains it gives up all held weight at once
+//    (release_all): to the originator on the result message, or, when the
+//    drain has nothing to report, to the last dereference it sends (the
+//    paper's idle site handing its weight to its last message; the
+//    receiver then owns it like any other received weight). The originator
+//    only ever lends shares of the master weight (borrow).
 //  * Termination: the originator's working set is empty and it has recovered
 //    weight exactly 1.
 //
@@ -62,7 +66,9 @@ class WeightedTerminationParticipant {
   /// activity began with a weighted message).
   Weight borrow() { return held_.split(); }
 
-  /// Working set drained: surrender everything for the result message.
+  /// Working set drained: surrender everything for the drain's last
+  /// message — its ResultMessage, or its last dereference when there is
+  /// nothing to report.
   Weight release_all() { return held_.take_all(); }
 
   bool holding() const { return !held_.is_zero(); }

@@ -223,6 +223,7 @@ Bytes encode_message(const Message& m) {
     e.varint(dr->msg_seq);
     e.varint(dr->hop);
     encode_u32s(e, dr->path);
+    encode_spans(e, dr->spans);
   } else if (const auto* sq = std::get_if<StartQuery>(&m)) {
     e.u8(static_cast<std::uint8_t>(Tag::kStart));
     encode_qid(e, sq->qid);
@@ -322,6 +323,7 @@ Bytes encode_message(const Message& m) {
     e.varint(bd->msg_seq);
     e.varint(bd->hop);
     encode_u32s(e, bd->path);
+    encode_spans(e, bd->spans);
   } else {
     const auto& rp = std::get<ClientReply>(m);
     e.u8(static_cast<std::uint8_t>(Tag::kClientReply));
@@ -380,6 +382,9 @@ Result<Message> decode_message(std::span<const std::uint8_t> data) {
       auto path = decode_u32s(d);
       if (!path.ok()) return path.error();
       dr.path = std::move(path).value();
+      auto spans = decode_spans(d);
+      if (!spans.ok()) return spans.error();
+      dr.spans = std::move(spans).value();
       return Message(std::move(dr));
     }
     case Tag::kStart: {
@@ -566,6 +571,9 @@ Result<Message> decode_message(std::span<const std::uint8_t> data) {
       auto path = decode_u32s(d);
       if (!path.ok()) return path.error();
       bd.path = std::move(path).value();
+      auto spans = decode_spans(d);
+      if (!spans.ok()) return spans.error();
+      bd.spans = std::move(spans).value();
       return Message(std::move(bd));
     }
     case Tag::kMoveCommand: {

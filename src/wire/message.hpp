@@ -12,7 +12,9 @@
 //   * ResultMessage — a site's drained results, sent directly to the
 //     originator: object ids that passed every filter, values captured by
 //     the -> retrieval operator, or only a count in count_only mode. Also
-//     returns all termination weight the site held.
+//     returns all termination weight the site held. A drain with nothing
+//     to report sends none: its last dereference carries the weight and
+//     the trace spans instead (DerefRequest::spans).
 //   * QueryDone — originator tells involved sites to discard context Q
 //     after global termination.
 //
@@ -69,6 +71,12 @@ struct DerefRequest {
   /// (originator first, capped at TraceSpan::kMaxPath).
   std::uint32_t hop = 0;
   std::vector<SiteId> path;
+  /// Trace spans riding a participant's weight return (DESIGN.md §4): empty
+  /// unless this is the last dereference of the sender's drain and carries
+  /// all its weight in place of a ResultMessage. Then it holds the sender's
+  /// cumulative span (this frame already counted in `forwarded`) plus every
+  /// span relayed to the sender and not yet delivered, at most one per site.
+  std::vector<TraceSpan> spans;
 };
 
 /// One (object, entry point) pair inside a batched dereference.
@@ -92,6 +100,7 @@ struct BatchDerefRequest {
   std::uint64_t msg_seq = 0;  // see DerefRequest::msg_seq
   std::uint32_t hop = 0;      // see DerefRequest::hop
   std::vector<SiteId> path;
+  std::vector<TraceSpan> spans;  // see DerefRequest::spans
 };
 
 struct StartQuery {

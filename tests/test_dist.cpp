@@ -12,9 +12,11 @@
 #include "dist/cluster.hpp"
 #include "dist/site_server.hpp"
 #include "engine/local_engine.hpp"
+#include "net/faulty.hpp"
 #include "net/inproc.hpp"
 #include "test_helpers.hpp"
 #include "wire/message.hpp"
+#include "workload/paper_workload.hpp"
 
 namespace hyperfile {
 namespace {
@@ -110,25 +112,29 @@ TEST(Cluster, RetrievalValuesFlowBackToOriginator) {
   cluster.stop();
 }
 
+/// QueryDone races the reply: poll until every site has discarded its
+/// contexts, false after 5 s.
+bool contexts_drain(Cluster& cluster) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    std::size_t live = 0;
+    for (SiteId s = 0; s < cluster.size(); ++s) {
+      live += cluster.server(s).context_count();
+    }
+    if (live == 0) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 TEST(Cluster, ContextsDiscardedAfterGlobalTermination) {
   Cluster cluster(3);
   populate_cross_site_chain(cluster, 30);
   cluster.start();
   auto r = cluster.client().run(parse_or_die(kClosure));
   ASSERT_TRUE(r.ok());
-
-  // QueryDone messages race with the reply; poll briefly.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    std::size_t live = 0;
-    for (SiteId s = 0; s < cluster.size(); ++s) {
-      live += cluster.server(s).context_count();
-    }
-    if (live == 0) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << live << " contexts still alive";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  EXPECT_TRUE(contexts_drain(cluster)) << "contexts still alive after 5 s";
   cluster.stop();
 }
 
@@ -584,6 +590,38 @@ TEST(SiteServerProtocol, StrandedParticipantContextExpiresViaTtl) {
   server.stop();
 }
 
+TEST(SiteServerProtocol, StragglerTellsEveryRelayingSiteQueryDone) {
+  // A duplicated dereference that outlives its query can recreate contexts
+  // on its way back, and each site it passed through relays its span on
+  // the frame. The originator must close all of them, not just the sender.
+  InProcNetwork net(3);
+  SiteServer server(net.endpoint(0), SiteStore(0));
+  server.start();
+  auto sender = net.endpoint(1);
+  auto relayer = net.endpoint(2);
+
+  wire::DerefRequest dr;
+  dr.qid = {0, 99};  // "originated" by site 0, long finished
+  dr.query = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+  dr.oid = ObjectId(0, 1);
+  dr.weight = {1};
+  dr.msg_seq = 1;
+  TraceSpan relayed;
+  relayed.site = 2;
+  dr.spans = {relayed};
+  ASSERT_TRUE(sender->send(0, dr).ok());
+
+  for (MessageEndpoint* ep : {sender.get(), relayer.get()}) {
+    auto env = ep->recv(Duration(5'000'000));
+    ASSERT_TRUE(env.has_value()) << "site " << ep->self() << " not told";
+    auto* qd = std::get_if<wire::QueryDone>(&env->message);
+    ASSERT_NE(qd, nullptr);
+    EXPECT_EQ(qd->qid, dr.qid);
+  }
+  EXPECT_EQ(server.context_count(), 0u);  // and nothing was recreated here
+  server.stop();
+}
+
 TEST(SiteServerProtocol, SummaryAdvertDedupAndMalformedRecordRejection) {
   // Three REVIEW-driven contracts of the advert path, driven byte-for-byte:
   //  1. the (epoch, seq) high-water dedup suppresses duplicated and
@@ -670,6 +708,299 @@ TEST(SiteServerProtocol, SummaryAdvertDedupAndMalformedRecordRejection) {
             rejects_before + 1);
   EXPECT_EQ(installs(), base_installs + 3);
   server.stop();
+}
+
+// --- weight return on a drain's last dereference (DESIGN.md §4) ---------
+
+/// 12 objects round-robin over the cluster's 3 sites, so every hop is
+/// remote, and only the last one (on site 2) matches: every participant
+/// drain ends with one remote dereference and nothing to report.
+std::vector<ObjectId> populate_last_hit_chain(Cluster& cluster) {
+  constexpr std::size_t kLen = 12;
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < kLen; ++i) {
+    ids.push_back(cluster.store(i % 3).allocate());
+  }
+  for (std::size_t i = 0; i < kLen; ++i) {
+    Object obj(ids[i]);
+    obj.add(Tuple::pointer("Reference", i + 1 < kLen ? ids[i + 1] : ids[i]));
+    if (i + 1 == kLen) obj.add(Tuple::keyword("hit"));
+    cluster.store(i % 3).put(std::move(obj));
+  }
+  cluster.store(0).create_set("S", std::span<const ObjectId>(ids.data(), 1));
+  return ids;
+}
+
+/// One fault aimed at the first weight-carrying dereference of `victim`
+/// (a DerefRequest with spans): drop it, or deliver it twice. Shared by
+/// every endpoint of a cluster; set `victim` before the cluster starts.
+struct CarrierFault {
+  enum class Kind { kDrop, kDuplicate };
+  Kind kind = Kind::kDrop;
+  ObjectId victim;
+  std::atomic<bool> fired{false};
+  std::atomic<SiteId> fired_at{kNoSite};  // the sender it fired on
+};
+
+class CarrierFaultEndpoint final : public MessageEndpoint {
+ public:
+  CarrierFaultEndpoint(std::unique_ptr<MessageEndpoint> inner,
+                       CarrierFault* fault)
+      : inner_(std::move(inner)), fault_(fault) {}
+
+  SiteId self() const override { return inner_->self(); }
+
+  Result<void> send(SiteId to, wire::Message message) override {
+    const auto* dr = std::get_if<wire::DerefRequest>(&message);
+    if (dr == nullptr || dr->spans.empty() || dr->oid != fault_->victim ||
+        fault_->fired.exchange(true)) {
+      return inner_->send(to, std::move(message));
+    }
+    fault_->fired_at = self();
+    if (fault_->kind == CarrierFault::Kind::kDrop) return {};
+    (void)inner_->send(to, message);
+    return inner_->send(to, std::move(message));
+  }
+
+  HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override {
+    return inner_->recv(timeout);
+  }
+  bool wake_capable() const override { return inner_->wake_capable(); }
+  void wake_recv() override { inner_->wake_recv(); }
+
+ private:
+  std::unique_ptr<MessageEndpoint> inner_;
+  CarrierFault* fault_;
+};
+
+Cluster::EndpointDecorator aim_at_carrier(CarrierFault* fault) {
+  return [fault](SiteId, std::unique_ptr<MessageEndpoint> inner)
+             -> std::unique_ptr<MessageEndpoint> {
+    return std::make_unique<CarrierFaultEndpoint>(std::move(inner), fault);
+  };
+}
+
+TEST(WeightReturn, LastDereferenceCarriesWeightAndSpans) {
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batched" : "one message per pointer");
+    SiteServerOptions options;
+    options.batch_remote_derefs = batch;
+    Cluster cluster(3, options);
+    const std::vector<ObjectId> ids = populate_last_hit_chain(cluster);
+    const Query q = parse_or_die(kClosure);
+    const std::vector<ObjectId> want = sorted(expected_on_merged(cluster, q).ids);
+    ASSERT_EQ(want, std::vector<ObjectId>{ids.back()});
+    cluster.start();
+    for (int round = 0; round < 3; ++round) {
+      const NetworkStats before = cluster.network_stats();
+      auto r = cluster.client().run(q, Duration(30'000'000));
+      ASSERT_TRUE(r.ok()) << r.error().to_string();
+      EXPECT_FALSE(r.value().partial);
+      EXPECT_EQ(sorted(r.value().ids), want);
+      ASSERT_TRUE(contexts_drain(cluster)) << "contexts left after the reply";
+      const NetworkStats after = cluster.network_stats();
+      // Only the drain that found the match sends a ResultMessage; every
+      // other participant drain returned its weight on its dereference.
+      EXPECT_EQ(after.result_messages - before.result_messages, 1u);
+      const std::uint64_t deref_frames =
+          (after.deref_messages - before.deref_messages) +
+          (after.batch_deref_messages - before.batch_deref_messages) +
+          (after.start_messages - before.start_messages);
+      std::uint64_t forwarded = 0;
+      for (const TraceSpan& s : r.value().trace.spans) forwarded += s.forwarded;
+      EXPECT_EQ(deref_frames, ids.size() - 1);  // one per hop
+      EXPECT_EQ(forwarded, deref_frames) << r.value().trace.to_text();
+      EXPECT_EQ(r.value().trace.spans.size(), 3u) << r.value().trace.to_text();
+    }
+    cluster.stop();
+  }
+}
+
+TEST(WeightReturn, LostCarrierAnswersPartialNeverWrong) {
+  SiteServerOptions options;
+  options.context_ttl = Duration(400'000);
+  CarrierFault drop;
+  Cluster cluster(3, options, 1, aim_at_carrier(&drop));
+  const std::vector<ObjectId> ids = populate_last_hit_chain(cluster);
+  drop.victim = ids[5];  // site 1's drain of ids[4] sends it to site 2
+  cluster.start();
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = cluster.client().run(parse_or_die(kClosure), Duration(10'000'000));
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  // The weight it carried is gone, so termination can never be detected:
+  // the originator's TTL answers, flagged partial, with nothing wrong in it.
+  EXPECT_TRUE(r.value().partial);
+  for (const ObjectId& id : r.value().ids) EXPECT_EQ(id, ids.back());
+  EXPECT_TRUE(drop.fired);
+  EXPECT_EQ(drop.fired_at, 1u);
+  EXPECT_TRUE(contexts_drain(cluster));
+  cluster.stop();
+}
+
+TEST(WeightReturn, DuplicatedCarrierChangesNothing) {
+  struct Run {
+    QueryResult reply;
+    bool duplicated = false;
+    bool drained = false;
+  };
+  auto run = [](bool duplicate) {
+    CarrierFault dup;
+    dup.kind = CarrierFault::Kind::kDuplicate;
+    Cluster cluster(3, SiteServerOptions{}, 1, aim_at_carrier(&dup));
+    // The last hop's receiver is never engaged again, so a duplicate it
+    // suppresses cannot reach the trace through a later span either.
+    const ObjectId last = populate_last_hit_chain(cluster).back();
+    if (duplicate) dup.victim = last;
+    cluster.start();
+    Run out;
+    auto r = cluster.client().run(parse_or_die(kClosure), Duration(30'000'000));
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) out.reply = std::move(r).value();
+    out.drained = contexts_drain(cluster);
+    out.duplicated = dup.fired;
+    cluster.stop();
+    return out;
+  };
+  const Run clean = run(false);
+  const Run noisy = run(true);
+  EXPECT_FALSE(clean.duplicated);
+  EXPECT_TRUE(noisy.duplicated);
+  EXPECT_TRUE(clean.drained);
+  EXPECT_TRUE(noisy.drained);
+  EXPECT_FALSE(noisy.reply.partial);
+  EXPECT_EQ(sorted(noisy.reply.ids), sorted(clean.reply.ids));
+  // The trace equals the clean run's in everything but timing.
+  auto untimed = [](std::vector<TraceSpan> spans) {
+    for (TraceSpan& s : spans) s.drain_us = 0;
+    return spans;
+  };
+  EXPECT_EQ(untimed(noisy.reply.trace.spans), untimed(clean.reply.trace.spans))
+      << "clean:\n" << clean.reply.trace.to_text() << "noisy:\n"
+      << noisy.reply.trace.to_text();
+}
+
+TEST(WeightReturn, FailedSendIsReportedWhenAnotherCarriesTheWeight) {
+  // Site 1's drain of `fork` ends with two dereferences and nothing else to
+  // report: one to site 2 or 3, which site 1 sees as crashed, and one to
+  // the other, live one. Whichever leaves last, the dropped one must reach
+  // the originator, so the reply is partial and still holds the live
+  // branch's match. Both crash targets run, so with batching one of them
+  // fails before the batch that would carry the weight.
+  for (const bool batch : {true, false}) {
+    for (const SiteId dead : {SiteId{2}, SiteId{3}}) {
+      SCOPED_TRACE(std::string(batch ? "batched" : "one message per pointer") +
+                   ", site " + std::to_string(dead) + " crashed");
+      SiteServerOptions options;
+      options.batch_remote_derefs = batch;
+      FaultInjectingEndpoint* site1 = nullptr;
+      Cluster cluster(
+          4, options, 1,
+          [&site1](SiteId site, std::unique_ptr<MessageEndpoint> inner)
+              -> std::unique_ptr<MessageEndpoint> {
+            if (site != 1) return inner;
+            auto ep = std::make_unique<FaultInjectingEndpoint>(
+                std::move(inner), FaultOptions{});
+            site1 = ep.get();
+            return ep;
+          });
+      // root (site 0) -> fork (site 1) -> a matching leaf on sites 2 and 3.
+      const ObjectId root = cluster.store(0).allocate();
+      const ObjectId fork = cluster.store(1).allocate();
+      const ObjectId leaf2 = cluster.store(2).allocate();
+      const ObjectId leaf3 = cluster.store(3).allocate();
+      Object root_obj(root);
+      root_obj.add(Tuple::pointer("Reference", fork));
+      cluster.store(0).put(std::move(root_obj));
+      Object fork_obj(fork);
+      fork_obj.add(Tuple::pointer("Reference", leaf2));
+      fork_obj.add(Tuple::pointer("Reference", leaf3));
+      cluster.store(1).put(std::move(fork_obj));
+      for (const ObjectId& leaf : {leaf2, leaf3}) {
+        Object leaf_obj(leaf);  // a self pointer keeps it in the closure
+        leaf_obj.add(Tuple::pointer("Reference", leaf));
+        leaf_obj.add(Tuple::keyword("hit"));
+        cluster.store(leaf.birth_site).put(std::move(leaf_obj));
+      }
+      cluster.store(0).create_set("S", std::span<const ObjectId>(&root, 1));
+      ASSERT_NE(site1, nullptr);
+      site1->crash(dead);
+      cluster.start();
+      auto r = cluster.client().run(parse_or_die(kClosure), Duration(10'000'000));
+      ASSERT_TRUE(r.ok()) << r.error().to_string();
+      EXPECT_TRUE(r.value().partial);
+      EXPECT_EQ(r.value().dropped_items, 1u);
+      EXPECT_EQ(r.value().ids, std::vector<ObjectId>{dead == 2 ? leaf3 : leaf2});
+      EXPECT_GT(site1->fault_stats().crashed, 0u);
+      cluster.stop();
+    }
+  }
+}
+
+// --- count-only portions log only their new members ---------------------
+
+/// WAL bytes 3 durable sites write for one paper-E7 request over the paper
+/// workload of `objects` objects: a count query that leaves the `key`
+/// closure distributed as D, then a narrowing query over D.
+std::uint64_t distset_pair_wal_bytes(const std::string& key,
+                                     std::size_t objects) {
+  const std::string dir = ::testing::TempDir() + "/hf_distset_" + key + "_" +
+                          std::to_string(objects);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto wal_bytes = [&dir] {
+    std::uint64_t total = 0;
+    for (SiteId s = 0; s < 3; ++s) {
+      total += std::filesystem::file_size(dir + "/site_" + std::to_string(s) +
+                                          ".wal");
+    }
+    return total;
+  };
+  SiteServerOptions options;
+  options.wal_dir = dir;
+  std::uint64_t bytes = 0;
+  {
+    Cluster cluster(3, options);
+    std::vector<SiteStore*> stores;
+    for (SiteId s = 0; s < 3; ++s) stores.push_back(&cluster.store(s));
+    workload::WorkloadConfig config;
+    config.num_objects = objects;
+    workload::populate_paper_workload(stores, config);
+    cluster.start();
+    const std::uint64_t before = wal_bytes();  // population is logged too
+    auto count = cluster.client().run(parse_or_die(
+        "Root [ (pointer, \"" + key +
+        "\", ?X) | ^^X ]* (skey, \"Common\", 1) count -> D"));
+    EXPECT_TRUE(count.ok());
+    if (count.ok()) {
+      EXPECT_EQ(count.value().total_count, objects);
+    }
+    auto narrow =
+        cluster.client().run(parse_or_die("D (skey, \"Rand10p\", 5) -> T"));
+    EXPECT_TRUE(narrow.ok());
+    bytes = wal_bytes() - before;
+    cluster.stop();
+  }
+  std::filesystem::remove_all(dir);
+  return bytes;
+}
+
+TEST(Cluster, CountOnlyPortionWalGrowsLinearlyWithTheChain) {
+  // The chain form engages every site once per object, so each site's
+  // portion grows over ~90 drains. Re-creating it on every drain logged
+  // about 257 KB per pair at 270 objects, 4x that at 540; appending only
+  // the new members keeps it near the tree form, whose three drains per
+  // site log the same 270 members.
+  const std::uint64_t chain = distset_pair_wal_bytes("Chain", 270);
+  const std::uint64_t tree = distset_pair_wal_bytes("Tree", 270);
+  const std::uint64_t chain2x = distset_pair_wal_bytes("Chain", 540);
+  RecordProperty("chain_270", std::to_string(chain));
+  RecordProperty("tree_270", std::to_string(tree));
+  RecordProperty("chain_540", std::to_string(chain2x));
+  EXPECT_LE(chain, 25'700u) << "tree form: " << tree;
+  EXPECT_LE(chain, 3 * tree) << "chain form: " << chain;
+  EXPECT_LE(static_cast<double>(chain2x), 2.5 * static_cast<double>(chain))
+      << "270 objects: " << chain << ", 540 objects: " << chain2x;
 }
 
 TEST(Cluster, EngineStatsAggregateAcrossSites) {

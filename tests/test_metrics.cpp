@@ -36,15 +36,26 @@ TEST(Gauge, SetAddSubAndHighWaterMark) {
 }
 
 TEST(Histogram, BucketOfIsFloorLog2) {
+  // The power of two a sample falls in is floor(log2(v)); v == 0 joins 1.
+  constexpr std::size_t kSub = Histogram::kSubBuckets;
   EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 0u);
-  EXPECT_EQ(Histogram::bucket_of(2), 1u);
-  EXPECT_EQ(Histogram::bucket_of(3), 1u);
-  EXPECT_EQ(Histogram::bucket_of(4), 2u);
-  EXPECT_EQ(Histogram::bucket_of(1023), 9u);
-  EXPECT_EQ(Histogram::bucket_of(1024), 10u);
-  // Saturates at the last bucket instead of indexing out of range.
+  EXPECT_EQ(Histogram::bucket_of(1) / kSub, 0u);
+  EXPECT_EQ(Histogram::bucket_of(2) / kSub, 1u);
+  EXPECT_EQ(Histogram::bucket_of(3) / kSub, 1u);
+  EXPECT_EQ(Histogram::bucket_of(4) / kSub, 2u);
+  EXPECT_EQ(Histogram::bucket_of(1023) / kSub, 9u);
+  EXPECT_EQ(Histogram::bucket_of(1024) / kSub, 10u);
+  // Within it, four sub-buckets of equal width: [8, 10) [10, 12) ...
+  EXPECT_EQ(Histogram::bucket_of(8), 3 * kSub);
+  EXPECT_EQ(Histogram::bucket_of(9), 3 * kSub);
+  EXPECT_EQ(Histogram::bucket_of(10), 3 * kSub + 1);
+  EXPECT_EQ(Histogram::bucket_of(13), 3 * kSub + 2);
+  EXPECT_EQ(Histogram::bucket_of(15), 3 * kSub + 3);
+  // Below 4 every value is a bucket of its own.
+  EXPECT_NE(Histogram::bucket_of(2), Histogram::bucket_of(3));
+  // The whole u64 range has a bucket; the top one is the last index.
   EXPECT_EQ(Histogram::bucket_of(UINT64_MAX), Histogram::kBuckets - 1);
+  EXPECT_EQ(Histogram::upper_bound(Histogram::kBuckets - 1), UINT64_MAX);
 }
 
 TEST(Histogram, CountSumMeanAndQuantiles) {
@@ -54,13 +65,38 @@ TEST(Histogram, CountSumMeanAndQuantiles) {
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 1015u);
   EXPECT_DOUBLE_EQ(h.mean(), 203.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);  // 1000 in [512, 1024)
-  // Median sample is 4 (bucket 2) -> exclusive upper bound 8; the p99
-  // lands in 1000's bucket -> bound 1024.
-  EXPECT_EQ(h.quantile_bound(0.5), 8u);
+  EXPECT_EQ(h.bucket(Histogram::bucket_of(1)), 1u);
+  EXPECT_EQ(h.bucket(Histogram::bucket_of(2)), 1u);
+  EXPECT_EQ(h.bucket(Histogram::bucket_of(896)), 1u);  // 1000 in [896, 1024)
+  // Median sample is 4, alone in [4, 5) -> exclusive upper bound 5; the
+  // p99 lands in 1000's sub-bucket -> bound 1024.
+  EXPECT_EQ(h.quantile_bound(0.5), 5u);
   EXPECT_EQ(h.quantile_bound(0.99), 1024u);
+}
+
+TEST(Histogram, QuantileBoundsWithinAQuarterOfTheSample) {
+  // One sample per histogram, swept over 4 .. 2^62: the bound exceeds the
+  // sample and overshoots it by at most 25%.
+  for (std::uint64_t v = 4; v < (std::uint64_t{1} << 62); v += v / 7 + 1) {
+    Histogram h;
+    h.observe(v);
+    const std::uint64_t bound = h.quantile_bound(0.99);
+    ASSERT_GT(bound, v);
+    ASSERT_LE(static_cast<double>(bound), 1.25 * static_cast<double>(v))
+        << "sample " << v;
+  }
+  // The case that motivated sub-buckets: 700 ms in microseconds used to
+  // read as a p99 of 1048576.
+  Histogram slow;
+  slow.observe(700'000);
+  EXPECT_EQ(slow.quantile_bound(0.99), 786'432u);
+  // A population: p50 of 1..100 is 50, p99 is 99.
+  Histogram spread;
+  for (std::uint64_t v = 1; v <= 100; ++v) spread.observe(v);
+  EXPECT_GT(spread.quantile_bound(0.5), 50u);
+  EXPECT_LE(spread.quantile_bound(0.5), 62u);
+  EXPECT_GT(spread.quantile_bound(0.99), 99u);
+  EXPECT_LE(spread.quantile_bound(0.99), 123u);
 }
 
 TEST(Registry, FindOrCreateReturnsStableReferences) {

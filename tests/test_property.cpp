@@ -208,6 +208,17 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
 constexpr auto kBfs = WorkSetDiscipline::kFifo;
 constexpr auto kDfs = WorkSetDiscipline::kLifo;
 
+/// "seed25_bfs_batch": the case name, and what gtest prints for the
+/// parameter into each ctest name. Its default would dump the struct's
+/// bytes, padding included, which differ from build to build.
+std::string variant_label(const ClusterVariant& v) {
+  return "seed" + std::to_string(v.seed) +
+         (v.discipline == kBfs ? "_bfs" : "_dfs") + (v.batch ? "_batch" : "");
+}
+void PrintTo(const ClusterVariant& v, std::ostream* os) {
+  *os << variant_label(v);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ClusterEquivalence,
     ::testing::Values(ClusterVariant{5u, kBfs, false},
@@ -217,7 +228,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ClusterVariant{45u, kDfs, false},
                       ClusterVariant{65u, kDfs, false},
                       ClusterVariant{75u, kDfs, true},
-                      ClusterVariant{85u, kDfs, true}));
+                      ClusterVariant{85u, kDfs, true}),
+    [](const ::testing::TestParamInfo<ClusterVariant>& info) {
+      return variant_label(info.param);
+    });
 
 }  // namespace
 }  // namespace hyperfile

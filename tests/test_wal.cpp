@@ -57,6 +57,8 @@ std::vector<WalRecord> sample_records() {
   recs.push_back(WalRecord::put(sample_object(ObjectId(0, 2), 1), 3));
   recs.push_back(WalRecord::erase(ObjectId(0, 1), 3));
   recs.push_back(WalRecord::bind_set("S", ObjectId(0, 2), 3));
+  recs.push_back(WalRecord::set_append(
+      ObjectId(0, 2), 2, {ObjectId(1, 4), ObjectId(2, 9)}, 3));
   return recs;
 }
 
@@ -95,6 +97,24 @@ TEST(WalCodec, RejectsTruncatedAndCorruptPayloads) {
   wire::Bytes bad = payload;
   bad[0] = 0x7f;  // no such opcode
   EXPECT_FALSE(decode_wal_record(bad).ok());
+}
+
+TEST(WalCodec, SetAppendRoundTripsAndRejectsTruncation) {
+  const WalRecord rec = WalRecord::set_append(
+      ObjectId(1, 3), 300, {ObjectId(0, 5), ObjectId(2, 8), ObjectId(1, 1)},
+      9);
+  const wire::Bytes payload = encode_wal_record(rec);
+  auto back = decode_wal_record(payload);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_EQ(back.value().op, WalRecord::Op::kSetAppend);
+  EXPECT_EQ(back.value().next_seq, 9u);
+  EXPECT_EQ(back.value().id, rec.id);
+  EXPECT_EQ(back.value().set_size, 300u);
+  EXPECT_EQ(back.value().members, rec.members);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(decode_wal_record(std::span(payload.data(), len)).ok())
+        << "truncated payload of " << len << " bytes decoded anyway";
+  }
 }
 
 TEST(WalReplayTest, MissingFileIsEmptyLog) {
@@ -302,6 +322,52 @@ TEST(WalStoreIntegration, EveryMutationPathIsRecoverable) {
   EXPECT_EQ(recovered.allocate(), store.allocate());
 }
 
+TEST(WalStoreIntegration, SetAppendReplayEqualsLive) {
+  const std::string path = temp_path("set_append.wal");
+  std::filesystem::remove(path);
+  auto replay = replay_wal(path);
+  ASSERT_TRUE(replay.ok());
+  auto wal = WriteAheadLog::open(path, replay.value());
+  ASSERT_TRUE(wal.ok());
+
+  SiteStore store(0);
+  store.attach_wal(&wal.value());
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(store.allocate());
+  const ObjectId set =
+      store.create_set("D", std::span<const ObjectId>(ids.data(), 2));
+  const std::uint64_t records = wal.value().record_count();
+  const std::uint64_t version = store.version();
+  ASSERT_TRUE(
+      store.append_to_set(set, std::span<const ObjectId>(ids.data() + 2, 3))
+          .ok());
+  ASSERT_TRUE(
+      store.append_to_set(set, std::span<const ObjectId>(ids.data() + 5, 1))
+          .ok());
+  // One record per append, and the store's version moves like any mutator.
+  EXPECT_EQ(wal.value().record_count(), records + 2);
+  EXPECT_GT(store.version(), version);
+  EXPECT_EQ(store.set_members("D").value(), ids);
+  // A missing set object is an error, and logs nothing.
+  EXPECT_FALSE(store.append_to_set(ids[0], ids).ok());
+  EXPECT_EQ(wal.value().record_count(), records + 2);
+
+  // Recovery and a replication shadow store both rebuild through
+  // apply_wal_record, so one replay covers both.
+  SiteStore recovered = recover(0, path);
+  expect_same_store(store, recovered);
+  EXPECT_EQ(recovered.set_members("D").value(), ids);
+
+  // Replaying the log again over its own result changes nothing: each
+  // append applies only at the set size it was logged at.
+  auto again = replay_wal(path);
+  ASSERT_TRUE(again.ok());
+  for (const WalRecord& rec : again.value().records) {
+    recovered.apply_wal_record(rec);
+  }
+  EXPECT_EQ(recovered.set_members("D").value(), ids);
+}
+
 TEST(WalStoreIntegration, RecoverySurvivesATornLastAppend) {
   const std::string path = temp_path("store_torn.wal");
   std::filesystem::remove(path);
@@ -374,6 +440,53 @@ TEST(CheckpointCrashWindow, CrashBetweenRenameAndTruncateLosesNothing) {
   SiteServer revived(net.endpoint(1), SiteStore(0), options);
   expect_same_store(reference, revived.store());
   EXPECT_GT(metrics().counter("dist.crash_recoveries").value(), 0u);
+}
+
+TEST(CheckpointCrashWindow, SetAppendsAlreadyInTheCheckpointReplayAsNoOps) {
+  // A count-only query's portion grows by appends across a checkpoint: the
+  // first checkpoint truncates the WAL after create_set, appends follow,
+  // and a second checkpoint is installed with the WAL left untruncated.
+  // Recovery replays appends the checkpoint already holds; they must not
+  // add the members a second time.
+  const std::string dir = ::testing::TempDir() + "/hf_ckpt_append";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SiteServerOptions options;
+  options.wal_dir = dir;
+  const std::string base = dir + "/site_0";
+
+  InProcNetwork net(2);
+  SiteStore reference(0);
+  {
+    SiteServer server(net.endpoint(0), SiteStore(0), options);
+    std::vector<ObjectId> ids;
+    for (int i = 0; i < 6; ++i) ids.push_back(server.store().allocate());
+    const ObjectId set = server.store().create_set(
+        "D", std::span<const ObjectId>(ids.data(), 2));
+    ASSERT_TRUE(server.checkpoint().ok());
+    ASSERT_TRUE(server.store()
+                    .append_to_set(set, std::span<const ObjectId>(
+                                            ids.data() + 2, 3))
+                    .ok());
+    ASSERT_TRUE(server.store()
+                    .append_to_set(set, std::span<const ObjectId>(
+                                            ids.data() + 5, 1))
+                    .ok());
+
+    ASSERT_TRUE(save_snapshot(server.store(), base + ".ckpt.tmp").ok());
+    ASSERT_EQ(std::rename((base + ".ckpt.tmp").c_str(),
+                          (base + ".ckpt").c_str()),
+              0);
+    ASSERT_TRUE(fsync_parent_dir(base + ".ckpt").ok());
+    ASSERT_EQ(server.store().wal()->record_count(), 2u)
+        << "crash window requires the two appends still in the WAL";
+    reference = server.store();
+    reference.attach_wal(nullptr);
+    EXPECT_EQ(reference.set_members("D").value(), ids);
+  }
+
+  SiteServer revived(net.endpoint(1), SiteStore(0), options);
+  expect_same_store(reference, revived.store());
 }
 
 TEST(CheckpointCrashWindow, CompletedCheckpointRecoversWithoutWal) {

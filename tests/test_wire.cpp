@@ -132,6 +132,26 @@ TEST(Serialize, PaperQueryIsSmall) {
   EXPECT_GT(bytes.size(), 20u);
 }
 
+TraceSpan wire_test_span() {
+  TraceSpan s;
+  s.site = 1;
+  s.first_hop = 2;
+  s.path = {0, 2, 1};
+  s.messages = 11;
+  s.duplicates = 3;
+  s.items = 40;
+  s.forwarded = 9;
+  s.results = 6;
+  s.drains = 4;
+  s.drain_us = 12345;
+  s.retries = 2;
+  s.suspicions = 1;
+  s.pruned = 5;
+  s.failovers = 2;
+  s.replica_lag = 1;
+  return s;
+}
+
 TEST(Messages, DerefRequestRoundTrip) {
   DerefRequest dr;
   dr.qid = {4, 77};
@@ -143,6 +163,8 @@ TEST(Messages, DerefRequestRoundTrip) {
   dr.msg_seq = 0xDEADBEEFull;
   dr.hop = 3;
   dr.path = {0, 4, 1};
+  dr.spans = {wire_test_span(), wire_test_span()};  // a weight-carrying one
+  dr.spans[1].site = 4;
   auto got = decode_message(encode_message(dr));
   ASSERT_TRUE(got.ok());
   const auto& back = std::get<DerefRequest>(got.value());
@@ -155,6 +177,7 @@ TEST(Messages, DerefRequestRoundTrip) {
   EXPECT_EQ(back.msg_seq, dr.msg_seq);
   EXPECT_EQ(back.hop, 3u);
   EXPECT_EQ(back.path, dr.path);
+  EXPECT_EQ(back.spans, dr.spans);
 }
 
 TEST(Messages, StartQueryRoundTrip) {
@@ -175,26 +198,6 @@ TEST(Messages, StartQueryRoundTrip) {
   EXPECT_EQ(back.msg_seq, 41u);
   EXPECT_EQ(back.hop, 1u);
   EXPECT_EQ(back.path, sq.path);
-}
-
-TraceSpan wire_test_span() {
-  TraceSpan s;
-  s.site = 1;
-  s.first_hop = 2;
-  s.path = {0, 2, 1};
-  s.messages = 11;
-  s.duplicates = 3;
-  s.items = 40;
-  s.forwarded = 9;
-  s.results = 6;
-  s.drains = 4;
-  s.drain_us = 12345;
-  s.retries = 2;
-  s.suspicions = 1;
-  s.pruned = 5;
-  s.failovers = 2;
-  s.replica_lag = 1;
-  return s;
 }
 
 TEST(Messages, ResultMessageRoundTrip) {
@@ -231,6 +234,7 @@ TEST(Messages, BatchDerefRoundTrip) {
   bd.msg_seq = 17;
   bd.hop = 2;
   bd.path = {0, 1};
+  bd.spans = {wire_test_span()};
   auto got = decode_message(encode_message(bd));
   ASSERT_TRUE(got.ok()) << got.error().to_string();
   const auto& back = std::get<BatchDerefRequest>(got.value());
@@ -240,6 +244,7 @@ TEST(Messages, BatchDerefRoundTrip) {
   EXPECT_EQ(back.path, bd.path);
   EXPECT_EQ(back.weight, bd.weight);
   EXPECT_EQ(back.msg_seq, 17u);
+  EXPECT_EQ(back.spans, bd.spans);
   EXPECT_TRUE(back.items[1].oid.identical(bd.items[1].oid));
 }
 

@@ -90,18 +90,23 @@ DEDUP_PREDICATE = "already_seen"
 SIDE_EFFECT_CALLS = {
     # weight conservation (term/)
     "repay_weight", "borrow_weight", "repay", "borrow", "split",
+    "take_weight", "settle_weight",
     # distributed-set / termination protocol
-    "note_engagement", "maybe_finish",
+    "note_engagement", "maybe_finish", "note_dropped",
     # engine seeding / drains
     "add_item", "seed_local_set", "seed_initial", "drain", "drain_and_flush",
     # routing / replies
-    "route_remote", "flush_batches", "send_reply",
+    "route_remote", "flush_batches", "send_deref", "send_reply",
+    # trace spans relayed on weight-carrying frames (DESIGN.md §4): folding
+    # them in before the dedup guard would merge a duplicated frame's spans
+    # and grow the query's involved set
+    "absorb_spans",
     # summary exchange (DESIGN.md §16): installing a gossiped record before
     # the dedup guard would let a duplicated frame re-run the install scan
     "install_summary",
     # store mutations
-    "create_set", "put", "erase", "take", "bind_set", "merge_into",
-    "apply_wal_record",
+    "create_set", "append_to_set", "put", "erase", "take", "bind_set",
+    "merge_into", "apply_wal_record",
     # WAL replication (DESIGN.md §18): applying a shipped segment or catchup
     # snapshot before the dedup guard would replay redo records (or rewind
     # the shadow store) on duplicated frames
