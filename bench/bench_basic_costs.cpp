@@ -89,6 +89,8 @@ void BM_EncodeDerefMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeDerefMessage);
 
+/// Decoding a remote-dereference message: the part of receiving one that
+/// every frame pays. The query body is copied, not parsed.
 void BM_DecodeDerefMessage(benchmark::State& state) {
   wire::DerefRequest dr;
   dr.qid = {0, 1};
@@ -101,6 +103,20 @@ void BM_DecodeDerefMessage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecodeDerefMessage);
+
+/// Decoding and validating the query body a dereference carries: the part
+/// a site pays once per query, when it installs the query's context. With
+/// BM_DecodeDerefMessage it makes up the paper's per-message receive cost.
+void BM_DecodeQueryBody(benchmark::State& state) {
+  const wire::QueryBody body(
+      workload::closure_query(workload::kTreeKey, workload::kRand10pKey, 5));
+  for (auto _ : state) {
+    auto q = body.decode();
+    benchmark::DoNotOptimize(q);
+  }
+  state.counters["body_bytes"] = static_cast<double>(body.bytes().size());
+}
+BENCHMARK(BM_DecodeQueryBody);
 
 /// Parse the paper's Section 3 query from text.
 void BM_ParseQuery(benchmark::State& state) {

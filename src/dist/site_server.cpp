@@ -1191,11 +1191,28 @@ SiteServer::Origination* SiteServer::find_origination(const wire::QueryId& qid) 
   return it == originated_.end() ? nullptr : &it->second;
 }
 
-SiteServer::Participation& SiteServer::participation(const wire::QueryId& qid,
-                                                     const Query& query) {
+SiteServer::Participation* SiteServer::participation(
+    SiteId src, const wire::QueryId& qid, const wire::QueryBody& body) {
+  static Counter& decodes = metrics().counter("dist.query_decodes");
+  static Counter& failures = metrics().counter("dist.query_decode_failures");
   auto it = contexts_.find(qid);
-  if (it != contexts_.end()) return it->second;
+  if (it != contexts_.end()) return &it->second;
+  // The body's one decode at this site: later frames of the query are
+  // processed with the installed query, whatever body they carry.
+  decodes.inc();
+  auto query = body.decode();
+  if (!query.ok()) {
+    failures.inc();
+    HF_WARN << "site " << store_.site() << ": dropping frame for "
+            << qid.to_string() << " from site " << src
+            << ": undecodable query body: " << query.error().to_string();
+    return nullptr;
+  }
+  return &install_context(qid, body, query.value());
+}
 
+SiteServer::Participation& SiteServer::install_context(
+    const wire::QueryId& qid, wire::QueryBody body, const Query& query) {
   ExecutionOptions opts;
   opts.discipline = options_.discipline;
   opts.is_local = [this](const ObjectId& id) { return store_.contains(id); };
@@ -1207,6 +1224,7 @@ SiteServer::Participation& SiteServer::participation(const wire::QueryId& qid,
 
   auto [nit, inserted] = contexts_.emplace(qid, Participation{});
   (void)inserted;
+  nit->second.body = std::move(body);
   nit->second.last_activity = now_tick();
   nit->second.span.site = store_.site();
   if (drain_pool_ != nullptr) {
@@ -1360,7 +1378,7 @@ bool SiteServer::send_deref(const wire::QueryId& qid, Participation& p,
                             OutgoingDeref d, bool carry_all) {
   wire::DerefRequest dr;
   dr.qid = qid;
-  dr.query = p.exec->query();
+  dr.query = p.body;
   dr.oid = d.item.id;
   dr.oid.presumed_site = d.dest;
   dr.start = d.item.start;
@@ -1403,7 +1421,7 @@ bool SiteServer::flush_batches(const wire::QueryId& qid, Participation& p,
     const std::uint64_t batch_size = items.size();
     wire::BatchDerefRequest bd;
     bd.qid = qid;
-    bd.query = p.exec->query();
+    bd.query = p.body;
     bd.items = std::move(items);
     bd.msg_seq = next_msg_seq_++;
     bd.hop = p.current_hop + 1;
@@ -1429,7 +1447,9 @@ bool SiteServer::flush_batches(const wire::QueryId& qid, Participation& p,
 
 void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   if (stale_own_query(dr.qid, src, dr.spans)) return;
-  Participation& p = participation(dr.qid, dr.query);
+  Participation* ctx = participation(src, dr.qid, dr.query);
+  if (ctx == nullptr) return;
+  Participation& p = *ctx;
   // Dedup before any bookkeeping: repaying a replayed message's weight a
   // second time would push held weight past one.
   if (already_seen(p.seen, src, dr.msg_seq)) {
@@ -1446,7 +1466,7 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   // pruned this message, the sender paid for it anyway — its cache of us
   // was missing or stale, or a Bloom false positive let it through.
   if (summary_built_ &&
-      !own_summary_.may_contribute(dr.query, dr.start, dr.oid)) {
+      !own_summary_.may_contribute(p.exec->query(), dr.start, dr.oid)) {
     metrics().counter("dist.prune_false_positives").inc();
   }
 
@@ -1467,7 +1487,9 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
 
 void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
   if (stale_own_query(bd.qid, src, bd.spans)) return;
-  Participation& p = participation(bd.qid, bd.query);
+  Participation* ctx = participation(src, bd.qid, bd.query);
+  if (ctx == nullptr) return;  // see handle_deref
+  Participation& p = *ctx;
   if (already_seen(p.seen, src, bd.msg_seq)) {  // see handle_deref
     ++p.span.duplicates;
     metrics().counter("dist.dedup_hits").inc();
@@ -1496,7 +1518,9 @@ void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
 
 void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
   if (stale_own_query(sq.qid, src, {})) return;
-  Participation& p = participation(sq.qid, sq.query);
+  Participation* ctx = participation(src, sq.qid, sq.query);
+  if (ctx == nullptr) return;  // see handle_deref
+  Participation& p = *ctx;
   if (already_seen(p.seen, src, sq.msg_seq)) {  // see handle_deref
     ++p.span.duplicates;
     metrics().counter("dist.dedup_hits").inc();
@@ -1715,8 +1739,9 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
     return;
   }
   // Simplify once at origination: every subsequent message (one per remote
-  // pointer!) carries the rewritten, smaller body.
+  // pointer!) carries the rewritten, smaller body, encoded here once.
   if (options_.rewrite_queries) cr.query = rewrite_query(cr.query);
+  wire::QueryBody body(cr.query);
 
   metrics().counter("dist.queries_originated").inc();
   const wire::QueryId qid{store_.site(), next_query_seq_++};
@@ -1728,7 +1753,7 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
   o.started = o.last_activity;
   originated_.emplace(qid, std::move(o));
   Origination& origin = originated_.at(qid);
-  Participation& p = participation(qid, cr.query);
+  Participation& p = install_context(qid, std::move(body), cr.query);
   // The client request engages the originator at hop 0; every computation
   // message fanned out from here starts the path at this site.
   note_engagement(p, 0, {});
@@ -1750,7 +1775,7 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
         Weight w = borrow_weight(qid, p);
         wire::StartQuery sq;
         sq.qid = qid;
-        sq.query = cr.query;
+        sq.query = p.body;
         sq.local_set_name = set_name;
         sq.weight = w.exponents();
         sq.msg_seq = next_msg_seq_++;

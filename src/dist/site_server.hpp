@@ -2,10 +2,11 @@
 //
 // Each site keeps a *local context* for every query it is processing:
 //   Q.id, Q.originator  — globally unique query identity
-//   Q.body, Q.size      — the filters (carried by every message; installed
-//                         on first sight, so per-site setup cost is paid
-//                         exactly once — "the context Q is discarded only on
-//                         global termination")
+//   Q.body, Q.size      — the filters (carried by every message; decoded
+//                         and installed on first sight, so per-site setup
+//                         cost is paid exactly once — "the context Q is
+//                         discarded only on global termination"; the
+//                         encoded body is kept and forwarded as received)
 //   Q.mark_table, Q.W   — per-site engine state (engine/execution.hpp)
 //   Q.result            — results batched since the last drain
 //
@@ -245,6 +246,10 @@ class SiteServer {
   };
 
   struct Participation {
+    /// The query as this site received it (the originator: as it encoded
+    /// it). Decoded once, into `exec`; every frame this site sends for the
+    /// query carries these same bytes.
+    wire::QueryBody body;
     /// Serial QueryExecution, or ParallelExecution when drain_workers > 0.
     std::unique_ptr<SiteExecution> exec;
     /// Failover executions over shadow stores (DESIGN.md §18), one per
@@ -471,7 +476,19 @@ class SiteServer {
                                                      Participation& p,
                                                      SiteId primary);
 
-  Participation& participation(const wire::QueryId& qid, const Query& query);
+  /// qid's context, installed on first sight from `body`, which only then
+  /// is decoded and validated (paper Section 3.2). nullptr when a new
+  /// context's body does not decode: the caller drops the frame, like a
+  /// transport drops an undecodable one, with no context, no dedup entry
+  /// and no weight repaid; it is counted (dist.query_decode_failures) and
+  /// logged, and the query ends partial through the TTL or suspicion.
+  HF_EVENT_LOOP_ONLY Participation* participation(SiteId src,
+                                                  const wire::QueryId& qid,
+                                                  const wire::QueryBody& body);
+  /// Create qid's context running `query`, whose encoded form is `body`.
+  HF_EVENT_LOOP_ONLY Participation& install_context(const wire::QueryId& qid,
+                                                    wire::QueryBody body,
+                                                    const Query& query);
   Origination* find_origination(const wire::QueryId& qid);
   /// Drain the context's working set, then flush: results+weight to the
   /// originator (participants) or merged into the origination (originator).

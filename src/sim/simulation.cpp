@@ -52,6 +52,10 @@ struct Simulation::Impl {
   std::uint64_t next_seq = 0;
   SiteId origin = 0;
   const Query* query = nullptr;
+  /// The query as every message of the run carries it, encoded once.
+  wire::QueryBody body;
+  /// Reused buffer for sizing scheduled messages.
+  wire::Encoder sizer;
   WeightedTerminationOriginator term;
   std::unordered_set<ObjectId> result_seen;
   std::vector<ObjectId> result_ids;
@@ -68,7 +72,9 @@ struct Simulation::Impl {
   }
 
   void schedule(Duration time, SiteId src, SiteId dst, wire::Message msg) {
-    stats.bytes_on_wire += wire::encode_message(msg).size();
+    sizer.clear();
+    wire::encode_message(msg, sizer);
+    stats.bytes_on_wire += sizer.size();
     switch (msg.index()) {
       case 0:
         ++stats.deref_messages;
@@ -113,7 +119,7 @@ struct Simulation::Impl {
       now += costs.msg_send_cpu;
       wire::DerefRequest dr;
       dr.qid = wire::QueryId{origin, 1};
-      dr.query = *query;
+      dr.query = body;
       dr.oid = item.id;
       dr.start = item.start;
       dr.iter_stack = item.iter_stack;
@@ -144,7 +150,7 @@ struct Simulation::Impl {
       now += costs.msg_send_cpu;
       wire::BatchDerefRequest bd;
       bd.qid = wire::QueryId{origin, 1};
-      bd.query = *query;
+      bd.query = body;
       bd.items = std::move(items);
       bd.weight = borrow(s).exponents();
       schedule(now + costs.msg_latency, s, dest, std::move(bd));
@@ -325,6 +331,7 @@ Result<SimOutcome> Simulation::run(const Query& query, SiteId origin) {
   im.next_seq = 0;
   im.origin = origin;
   im.query = &query;
+  im.body = wire::QueryBody(query);
   im.term = WeightedTerminationOriginator();
   im.result_seen.clear();
   im.result_ids.clear();
@@ -366,7 +373,7 @@ Result<SimOutcome> Simulation::run(const Query& query, SiteId origin) {
         now += im.costs.msg_send_cpu;
         wire::StartQuery sq;
         sq.qid = wire::QueryId{origin, 1};
-        sq.query = query;
+        sq.query = im.body;
         sq.local_set_name = set_name;
         sq.weight = im.term.borrow().exponents();
         im.schedule(now + im.costs.msg_latency, origin, s, std::move(sq));

@@ -5,7 +5,10 @@
 //     O.start". Carries Q.id, Q.originator, Q.body, Q.size (the query is
 //     resent whole on every message, exactly as the paper describes; the
 //     receiving site installs a context the first time and ignores the body
-//     afterwards) plus O.id, O.start, O.iter# and a termination weight.
+//     afterwards) plus O.id, O.start, O.iter# and a termination weight. The
+//     body travels as a QueryBody: the encoded query, length-prefixed,
+//     which decode_message copies without parsing. A site parses it once,
+//     when it installs the query's context, and forwards the same bytes.
 //   * StartQuery — originator fans a query out to sites that hold portions
 //     of a *distributed set* (the Section 5 optimisation), or seeds the
 //     initial named set at its home site.
@@ -23,6 +26,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -54,9 +59,39 @@ struct QueryIdHash {
 
 using WeightBits = std::vector<std::uint32_t>;
 
+/// The query as DerefRequest, BatchDerefRequest and StartQuery carry it:
+/// its encode_query bytes, immutable and shared. Built from a Query by one
+/// encode; copying a body, or a message holding one, copies a pointer.
+/// decode_message wraps the received bytes without parsing them, and
+/// decode() parses and validates them: a site calls it once per query,
+/// when it installs the query's context (paper Section 3.2), and forwards
+/// the bytes it received on every frame after that.
+class QueryBody {
+ public:
+  /// No bytes: encodes as an empty body, which never decodes.
+  QueryBody() = default;
+  /// One encode. Implicit, so a Query assigns straight into a message.
+  QueryBody(const Query& query);  // NOLINT(google-explicit-constructor)
+  /// Received bytes, kept unparsed.
+  static QueryBody from_bytes(Bytes bytes);
+
+  std::span<const std::uint8_t> bytes() const {
+    return bytes_ == nullptr ? std::span<const std::uint8_t>()
+                             : std::span<const std::uint8_t>(*bytes_);
+  }
+  /// The query, validated; an error for bytes that are not exactly one
+  /// valid encoded query.
+  Result<Query> decode() const;
+
+  friend bool operator==(const QueryBody& a, const QueryBody& b);
+
+ private:
+  std::shared_ptr<const Bytes> bytes_;
+};
+
 struct DerefRequest {
   QueryId qid;
-  Query query;
+  QueryBody query;
   ObjectId oid;
   std::uint32_t start = 1;
   std::vector<std::uint32_t> iter_stack;  // O.iter# (stack, innermost last)
@@ -94,7 +129,7 @@ struct DerefEntry {
 /// messages ("messages should be ... limited in number", Section 1).
 struct BatchDerefRequest {
   QueryId qid;
-  Query query;
+  QueryBody query;
   std::vector<DerefEntry> items;
   WeightBits weight;
   std::uint64_t msg_seq = 0;  // see DerefRequest::msg_seq
@@ -105,7 +140,7 @@ struct BatchDerefRequest {
 
 struct StartQuery {
   QueryId qid;
-  Query query;
+  QueryBody query;
   /// Explicit seed ids (each enters at filter 1).
   std::vector<ObjectId> ids;
   /// If nonempty, the receiving site additionally seeds from its local
@@ -332,12 +367,17 @@ struct Envelope {
   Message message;
 };
 
+/// Append `m`'s encoding to `out`.
+void encode_message(const Message& m, Encoder& out);
 Bytes encode_message(const Message& m);
 Result<Message> decode_message(std::span<const std::uint8_t> data);
 
 Bytes encode_envelope(const Envelope& e);
 /// Encode into `out` (cleared first), reusing its buffer capacity — the
-/// allocation-free form for senders that consume the bytes immediately.
+/// allocation-free form for senders that consume the bytes immediately:
+/// the payload goes through a reused per-thread encoder, so once `out`
+/// and that encoder have grown to a frame's size, encoding it allocates
+/// nothing.
 void encode_envelope(const Envelope& e, Encoder& out);
 Result<Envelope> decode_envelope(std::span<const std::uint8_t> data);
 

@@ -3,6 +3,7 @@
 // with weighted-message termination detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "net/inproc.hpp"
 #include "test_helpers.hpp"
 #include "wire/message.hpp"
+#include "wire/serialize.hpp"
 #include "workload/paper_workload.hpp"
 
 namespace hyperfile {
@@ -935,6 +937,208 @@ TEST(WeightReturn, FailedSendIsReportedWhenAnotherCarriesTheWeight) {
       cluster.stop();
     }
   }
+}
+
+// --- the query body: decoded once per (query, site) ----------------------
+
+std::uint64_t query_decodes() {
+  return metrics().counter("dist.query_decodes").value();
+}
+
+std::uint64_t query_decode_failures() {
+  return metrics().counter("dist.query_decode_failures").value();
+}
+
+/// `body` with its last byte cut: a body corrupt at an honest length, so
+/// the frame carrying it stays well formed.
+wire::QueryBody truncated_body(const wire::QueryBody& body) {
+  const auto b = body.bytes();
+  return wire::QueryBody::from_bytes(wire::Bytes(b.begin(), b.end() - 1));
+}
+
+/// Replaces the body of the first DerefRequest it sends with a truncated
+/// one. Shared by every endpoint of a cluster.
+class BodyCorruptingEndpoint final : public MessageEndpoint {
+ public:
+  BodyCorruptingEndpoint(std::unique_ptr<MessageEndpoint> inner,
+                         std::atomic<bool>* fired)
+      : inner_(std::move(inner)), fired_(fired) {}
+
+  SiteId self() const override { return inner_->self(); }
+
+  Result<void> send(SiteId to, wire::Message message) override {
+    auto* dr = std::get_if<wire::DerefRequest>(&message);
+    if (dr != nullptr && !fired_->exchange(true)) {
+      dr->query = truncated_body(dr->query);
+    }
+    return inner_->send(to, std::move(message));
+  }
+
+  HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override {
+    return inner_->recv(timeout);
+  }
+  bool wake_capable() const override { return inner_->wake_capable(); }
+  void wake_recv() override { inner_->wake_recv(); }
+
+ private:
+  std::unique_ptr<MessageEndpoint> inner_;
+  std::atomic<bool>* fired_;
+};
+
+TEST(QueryBody, CorruptBodyOnAFreshQueryRunsNothingAndAnswersPartial) {
+  // Site 0 originates; its first dereference, to site 1, arrives with a
+  // body that does not decode. Site 1 drops the frame like an undecodable
+  // one: no context, no dedup entry, its weight never repaid. Nothing runs
+  // past site 0, and the originator's TTL answers partial.
+  SiteServerOptions options;
+  options.context_ttl = Duration(400'000);
+  std::atomic<bool> fired{false};
+  Cluster cluster(3, options, 1,
+                  [&fired](SiteId, std::unique_ptr<MessageEndpoint> inner)
+                      -> std::unique_ptr<MessageEndpoint> {
+                    return std::make_unique<BodyCorruptingEndpoint>(
+                        std::move(inner), &fired);
+                  });
+  const std::vector<ObjectId> ids = populate_last_hit_chain(cluster);
+  cluster.start();
+  const std::uint64_t decodes = query_decodes();
+  const std::uint64_t failures = query_decode_failures();
+  auto r = cluster.client().run(parse_or_die(kClosure), Duration(10'000'000));
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(r.value().partial);
+  for (const ObjectId& id : r.value().ids) EXPECT_EQ(id, ids.back());
+  EXPECT_EQ(query_decode_failures() - failures, 1u);
+  EXPECT_EQ(query_decodes() - decodes, 1u);  // site 1's one attempt
+  EXPECT_EQ(cluster.server(1).context_count(), 0u);
+  EXPECT_EQ(cluster.server(1).engine_stats().pops, 0u);
+  EXPECT_EQ(cluster.server(2).engine_stats().pops, 0u);
+  EXPECT_TRUE(contexts_drain(cluster));
+  cluster.stop();
+}
+
+TEST(QueryBody, LaterFramesRunTheInstalledQuery) {
+  // Paper Section 3.2: a site installs the query the first time it sees it
+  // and ignores the body afterwards. A raw endpoint plays the originator (site 1)
+  // of query q1@1 against site 0.
+  InProcNetwork net(2);
+  SiteStore store(0);
+  std::vector<ObjectId> hits;
+  for (int i = 0; i < 3; ++i) {
+    hits.push_back(store.allocate());
+    store.put(Object(hits.back(), {Tuple::keyword("hit")}));
+  }
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  auto peer = net.endpoint(1);
+
+  const wire::QueryBody installed(parse_or_die(R"(S (keyword, "hit", ?) -> T)"));
+  const std::vector<wire::QueryBody> bodies = {
+      installed,
+      truncated_body(installed),                                 // corrupt
+      wire::QueryBody(parse_or_die(R"(S (keyword, "miss", ?) -> T)")),
+  };
+  const std::uint64_t decodes = query_decodes();
+  const std::uint64_t failures = query_decode_failures();
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    SCOPED_TRACE("frame " + std::to_string(i));
+    wire::DerefRequest dr;
+    dr.qid = {1, 1};
+    dr.query = bodies[i];
+    dr.oid = hits[i];
+    dr.weight = {static_cast<std::uint32_t>(i + 1)};
+    dr.msg_seq = i + 1;
+    ASSERT_TRUE(peer->send(0, dr).ok());
+    auto env = peer->recv(Duration(5'000'000));
+    ASSERT_TRUE(env.has_value());
+    auto* rm = std::get_if<wire::ResultMessage>(&env->message);
+    ASSERT_NE(rm, nullptr);
+    // Run with the installed query, every one matches.
+    EXPECT_EQ(rm->ids, std::vector<ObjectId>{hits[i]});
+    EXPECT_EQ(rm->weight, dr.weight);
+  }
+  EXPECT_EQ(query_decodes() - decodes, 1u);
+  EXPECT_EQ(query_decode_failures() - failures, 0u);
+  server.stop();
+}
+
+TEST(QueryBody, ParticipantForwardsTheBytesItReceived) {
+  // A raw endpoint (site 1) sends a body whose filter count is an overlong
+  // varint: it decodes, but re-encoding the query would not reproduce it.
+  // The dereference site 0 forwards back must carry the received bytes.
+  const Query q = parse_or_die(kClosure);
+  wire::Bytes received = wire::encode_query(q);
+  ASSERT_LT(received[0], 0x80);  // a one-byte filter count
+  received[0] |= 0x80;
+  received.insert(received.begin() + 1, 0x00);
+  const wire::QueryBody body = wire::QueryBody::from_bytes(received);
+  ASSERT_TRUE(body.decode().ok());
+  ASSERT_NE(body, wire::QueryBody(q));
+
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batched" : "one message per pointer");
+    InProcNetwork net(2);
+    SiteStore store(0);
+    const ObjectId local = store.allocate();
+    Object obj(local);
+    obj.add(Tuple::pointer("Reference", ObjectId(1, 1)));
+    store.put(std::move(obj));
+    SiteServerOptions options;
+    options.batch_remote_derefs = batch;
+    SiteServer server(net.endpoint(0), std::move(store), options);
+    server.start();
+    auto peer = net.endpoint(1);
+
+    wire::DerefRequest dr;
+    dr.qid = {1, 1};
+    dr.query = body;
+    dr.oid = local;
+    dr.weight = {1};
+    dr.msg_seq = 1;
+    ASSERT_TRUE(peer->send(0, dr).ok());
+    auto env = peer->recv(Duration(5'000'000));
+    ASSERT_TRUE(env.has_value());
+    const wire::QueryBody* forwarded = nullptr;
+    if (const auto* fwd = std::get_if<wire::DerefRequest>(&env->message)) {
+      forwarded = &fwd->query;
+    } else if (const auto* fb =
+                   std::get_if<wire::BatchDerefRequest>(&env->message)) {
+      forwarded = &fb->query;
+    }
+    ASSERT_NE(forwarded, nullptr) << "variant " << env->message.index();
+    EXPECT_TRUE(std::ranges::equal(forwarded->bytes(), received));
+    server.stop();
+  }
+}
+
+TEST(QueryBody, ChainClosureDecodesOncePerSite) {
+  // E3's chain: about 269 dereference frames per query hop between three
+  // sites, each carrying the body. The originator encoded the body and
+  // never decodes it; each participant decodes it once.
+  Cluster cluster(3);
+  std::vector<SiteStore*> stores;
+  for (SiteId s = 0; s < 3; ++s) stores.push_back(&cluster.store(s));
+  workload::populate_paper_workload(stores, workload::WorkloadConfig{});
+  const Query q = parse_or_die(
+      R"(Root [ (pointer, "Chain", ?X) | ^^X ]* (skey, "Rand10p", 5) -> T)");
+  const std::vector<ObjectId> want = sorted(expected_on_merged(cluster, q).ids);
+  cluster.start();
+  const std::uint64_t failures = query_decode_failures();
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("query " + std::to_string(round));
+    const std::uint64_t decodes = query_decodes();
+    const NetworkStats before = cluster.network_stats();
+    auto r = cluster.client().run(q, Duration(30'000'000));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_FALSE(r.value().partial);
+    EXPECT_EQ(sorted(r.value().ids), want);
+    const NetworkStats after = cluster.network_stats();
+    EXPECT_GE(after.deref_messages - before.deref_messages, 250u);
+    EXPECT_EQ(query_decodes() - decodes, 2u);
+    ASSERT_TRUE(contexts_drain(cluster));
+  }
+  EXPECT_EQ(query_decode_failures(), failures);
+  cluster.stop();
 }
 
 // --- count-only portions log only their new members ---------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "query/builder.hpp"
 #include "query/parser.hpp"
@@ -466,6 +468,81 @@ TEST(Messages, TruncatedRealMessageRejected) {
   for (std::size_t cut = 0; cut + 1 < bytes.size(); ++cut) {
     EXPECT_FALSE(decode_message(std::span(bytes.data(), cut)).ok());
   }
+
+  // The other two frames that carry a query body: its length prefix is
+  // what makes a cut inside the body visible.
+  StartQuery sq;
+  sq.qid = {0, 1};
+  sq.query = parse_query(R"(S (?, ?, ?) count -> T)").value();
+  sq.ids = {ObjectId(0, 1)};
+  sq.local_set_name = "T";
+  sq.weight = {2};
+  sq.path = {6};
+  BatchDerefRequest bd;
+  bd.qid = {2, 9};
+  bd.query = parse_query(R"(S [ (pointer, "R", ?X) | ^^X ]* -> T)").value();
+  bd.items = {{ObjectId(0, 1), 3, {1, 2}}};
+  bd.weight = {3};
+  bd.path = {0, 1};
+  const std::vector<Message> frames = {sq, bd};
+  for (const Message& m : frames) {
+    const Bytes frame = encode_message(m);
+    ASSERT_TRUE(decode_message(frame).ok());
+    for (std::size_t cut = 0; cut + 1 < frame.size(); ++cut) {
+      EXPECT_FALSE(decode_message(std::span(frame.data(), cut)).ok())
+          << "variant " << m.index() << " cut at " << cut;
+    }
+  }
+}
+
+TEST(Messages, QueryBodyIsEncodedOnceAndShared) {
+  const Query q =
+      parse_query(R"(S [ (pointer, "R", ?X) | ^^X ]* (keyword, "k", ?) -> T)")
+          .value();
+  const QueryBody body(q);
+  EXPECT_TRUE(std::ranges::equal(body.bytes(), encode_query(q)));
+  auto back = body.decode();
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_EQ(back.value(), q);
+  // A copy shares the bytes instead of copying them.
+  const QueryBody copy = body;
+  EXPECT_EQ(copy.bytes().data(), body.bytes().data());
+  EXPECT_EQ(copy, body);
+  EXPECT_NE(QueryBody(parse_query(R"(S -> T)").value()), body);
+  // No bytes at all is a body that never decodes.
+  EXPECT_TRUE(QueryBody().bytes().empty());
+  EXPECT_FALSE(QueryBody().decode().ok());
+}
+
+TEST(Messages, CorruptBodyPassesTheFrameButNotItsDecode) {
+  // decode_message copies a body without parsing it, so a body corrupt at
+  // an honest length leaves the frame well formed; only the body's own
+  // decode, run when a site installs the query, rejects it.
+  const Bytes good =
+      encode_query(parse_query(R"(S (keyword, "k", ?) -> T)").value());
+  Bytes truncated(good.begin(), good.end() - 1);
+  Bytes trailing = good;
+  trailing.push_back(0);
+  Query unbound;  // dereferences a variable no filter binds
+  unbound.add_filter(DerefFilter{"X", false});
+  ASSERT_FALSE(unbound.validate().ok());
+  const std::vector<QueryBody> corrupt = {
+      QueryBody::from_bytes(truncated), QueryBody::from_bytes(trailing),
+      QueryBody(unbound)};
+  for (const QueryBody& body : corrupt) {
+    DerefRequest dr;
+    dr.qid = {4, 77};
+    dr.query = body;
+    dr.oid = ObjectId(1, 9);
+    dr.weight = {1};
+    auto got = decode_message(encode_message(dr));
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    const auto& back = std::get<DerefRequest>(got.value());
+    EXPECT_EQ(back.query, body);
+    EXPECT_EQ(back.weight, dr.weight);
+    EXPECT_FALSE(back.query.decode().ok());
+  }
+  EXPECT_TRUE(QueryBody::from_bytes(good).decode().ok());
 }
 
 }  // namespace
