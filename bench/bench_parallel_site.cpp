@@ -12,8 +12,10 @@
 // slow hosts.
 //
 // Every row's `speedup_vs_serial` is measured against the serial drain
-// (workers=0) on the same transport, and tools/check_bench_speedup.py gates
-// CI on a committed ceiling for the workers=4 in-proc mean (DESIGN.md §14).
+// (workers=0; a site builds no pool below 2 workers, so workers=1 runs the
+// serial drain too) on the same transport, and
+// tools/check_bench_speedup.py gates CI on a committed ceiling for the
+// workers=4 in-proc mean (DESIGN.md §14).
 // Thread-scaling depends on host cores (see the hardware_threads counter):
 // with 3 sites draining concurrently the serial configuration already uses
 // up to 3 cores, so the pool can only help on hosts with spare ones.

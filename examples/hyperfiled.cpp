@@ -131,7 +131,8 @@ int cmd_serve(SiteId site, const std::string& config_path,
 
   SiteServerOptions options;
   options.drain_workers = workers;
-  if (workers > 0) std::printf("parallel drain: %zu workers\n", workers);
+  // One worker drains serially on the event loop, like zero.
+  if (workers >= 2) std::printf("parallel drain: %zu workers\n", workers);
   // Durability (DESIGN.md §13): with --wal-dir every acknowledged mutation
   // is logged before the site answers for it, and the server recovers
   // checkpoint + WAL on startup — the snapshot argument only seeds a brand
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
     return cmd_init(argv[2], argv[3], objects);
   }
   if (argc >= 4 && std::string(argv[1]) == "serve") {
-    // Trailing options: --workers N enables the parallel site drain;
+    // Trailing options: --workers N (N >= 2) enables the parallel site drain;
     // --metrics-json PATH writes the registry dump as JSON at shutdown.
     std::size_t workers = 0;
     std::string snapshot;
@@ -264,7 +265,8 @@ int main(int argc, char** argv) {
       "                  [--checkpoint-interval SECS] [--transport NAME]\n"
       "                  [--replicate-ring MS]\n"
       "                                           run one site; --workers N\n"
-      "                                           drains queries on N threads;\n"
+      "                                           drains queries on N >= 2\n"
+      "                                           threads;\n"
       "                                           --metrics-json dumps the\n"
       "                                           metrics registry at shutdown;\n"
       "                                           --wal-dir makes the site\n"

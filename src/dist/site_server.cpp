@@ -14,6 +14,22 @@
 namespace hyperfile {
 namespace {
 
+/// How long a recv() blocks on an endpoint that cannot be woken (the
+/// threaded TCP backend); wake-capable ones wait for recv_budget().
+constexpr Duration kPollInterval = Duration(2'000);
+
+/// Extra attempts after a failed send of a protocol message (derefs,
+/// results, replies). Retries target *detected* transient failures — a
+/// dead connection the transport can re-establish; silent loss is
+/// invisible to the sender and is covered by context_ttl instead.
+/// Receivers suppress duplicates by msg_seq, so a retry that raced a
+/// slow-but-successful delivery is harmless.
+constexpr int kSendRetries = 2;
+
+/// Per-WalSegment budget of framed WAL bytes (always at least one whole
+/// record, see read_wal_segment).
+constexpr std::uint64_t kReplicationSegmentBytes = 256 * 1024;
+
 /// Record (src, seq) in the per-context dedup map; true iff the message was
 /// already processed. seq 0 marks an unsequenced message and is never
 /// suppressed.
@@ -119,7 +135,8 @@ SiteServer::SiteServer(std::unique_ptr<MessageEndpoint> endpoint, SiteStore stor
   }
   // Everything currently stored here was (as far as we know) born here.
   for (const ObjectId& id : store_.all_ids()) names_.register_birth(id);
-  if (options_.drain_workers > 0) {
+  // One worker would only add a handoff to every drain: it stays serial.
+  if (options_.drain_workers >= 2) {
     drain_pool_ = std::make_unique<WorkerPool>(options_.drain_workers);
   }
   // Pre-register the replication instruments so every metrics dump of a
@@ -388,8 +405,8 @@ void SiteServer::run_loop() {
   while (!stopping_.load()) {
     // The wait is bounded — by recv_budget() (the nearest periodic
     // deadline, capped at 1s) on wake-capable endpoints, where wake_recv()
-    // cuts the wait short, and by poll_interval on the threaded fallback.
-    const Duration wait = wakeable ? recv_budget() : options_.poll_interval;
+    // cuts the wait short, and by kPollInterval on the threaded fallback.
+    const Duration wait = wakeable ? recv_budget() : kPollInterval;
     // hfverify: allow-blocking(recv-wait): bounded wait, see above.
     auto env = endpoint_->recv(wait);
     if (env.has_value()) handle(std::move(*env));
@@ -445,8 +462,7 @@ Result<void> SiteServer::send_with_retry(SiteId to, const wire::Message& m,
   static Counter& busy_backoffs = metrics().counter("dist.busy_backoffs");
   auto r = endpoint_->send(to, m);
   Duration backoff = options_.retry_backoff;
-  for (int attempt = 0; !r.ok() && attempt < options_.send_retries;
-       ++attempt) {
+  for (int attempt = 0; !r.ok() && attempt < kSendRetries; ++attempt) {
     const Errc c = r.error().code;
     if (c == Errc::kNotFound || c == Errc::kInvalidArgument) break;
     // kBusy is the epoll backend's backpressure signal: the peer's bounded
@@ -455,7 +471,7 @@ Result<void> SiteServer::send_with_retry(SiteId to, const wire::Message& m,
     // separately from transport failures so saturation is visible.
     if (c == Errc::kBusy) busy_backoffs.inc();
     // hfverify: allow-blocking(retry-backoff): bounded exponential backoff
-    // (send_retries * max backoff), accepted loop stall on a sick peer.
+    // (kSendRetries * max backoff), accepted loop stall on a sick peer.
     std::this_thread::sleep_for(backoff);
     backoff *= 2;
     retries.inc();
@@ -685,22 +701,24 @@ void SiteServer::check_summaries() {
   };
   wire::SummaryMessage sm;
   sm.records.push_back(to_record(own_summary_));  // own record: age 0
-  if (options_.summary_gossip) {
-    for (const auto& [peer, cached] : peer_summaries_) {
-      // Relay with the age the record has accrued here (installed is
-      // origin-anchored, so inherited age compounds across hops). A record
-      // past the TTL has no authority left to spread — don't gossip it.
-      const Duration age = std::chrono::duration_cast<Duration>(
-          now - cached.installed);
-      if (options_.summary_ttl > Duration(0) && age >= options_.summary_ttl) {
-        continue;
-      }
-      wire::SummaryRecord rec = to_record(cached.summary);
-      rec.age_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, std::chrono::duration_cast<std::chrono::microseconds>(age)
-                 .count()));
-      sm.records.push_back(std::move(rec));
+  // Gossip: relay every cached peer record too (epidemic spread on sparse
+  // topologies). Receivers order relayed records by their embedded
+  // (epoch, version) and never treat them as liveness evidence for their
+  // origin — only the frame's direct sender proved itself alive.
+  for (const auto& [peer, cached] : peer_summaries_) {
+    // Relay with the age the record has accrued here (installed is
+    // origin-anchored, so inherited age compounds across hops). A record
+    // past the TTL has no authority left to spread — don't gossip it.
+    const Duration age =
+        std::chrono::duration_cast<Duration>(now - cached.installed);
+    if (options_.summary_ttl > Duration(0) && age >= options_.summary_ttl) {
+      continue;
     }
+    wire::SummaryRecord rec = to_record(cached.summary);
+    rec.age_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::microseconds>(age)
+               .count()));
+    sm.records.push_back(std::move(rec));
   }
   // Fire-and-forget, like pings: adverts are periodic and idempotent, so a
   // lost one is simply superseded by the next; retrying would stall the
@@ -967,10 +985,10 @@ void SiteServer::ship_to(SiteId follower, FollowerShip& ship) {
   }
   if (ship.shipped >= wal_->byte_size()) return;  // follower is current
   // hfverify: allow-blocking(wal-ship): bounded file read (one
-  // replication_segment_bytes batch) in the same loop pause that already
+  // kReplicationSegmentBytes batch) in the same loop pause that already
   // absorbs WAL appends; shipping from the file keeps no second copy.
   auto seg = read_wal_segment(wal_->path(), ship.shipped,
-                              options_.replication_segment_bytes);
+                              kReplicationSegmentBytes);
   if (!seg.ok()) {
     HF_WARN << "site " << store_.site() << ": cannot read WAL segment at "
             << ship.shipped << ": " << seg.error().message;
@@ -1158,8 +1176,6 @@ void SiteServer::handle(wire::Envelope env) {
   }
   if (auto* dr = std::get_if<wire::DerefRequest>(&env.message)) {
     handle_deref(src, std::move(*dr));
-  } else if (auto* bd = std::get_if<wire::BatchDerefRequest>(&env.message)) {
-    handle_batch_deref(src, std::move(*bd));
   } else if (auto* sq = std::get_if<wire::StartQuery>(&env.message)) {
     handle_start(src, std::move(*sq));
   } else if (auto* rm = std::get_if<wire::ResultMessage>(&env.message)) {
@@ -1183,7 +1199,8 @@ void SiteServer::handle(wire::Envelope env) {
   } else if (auto* qd = std::get_if<wire::QueryDone>(&env.message)) {
     handle_done(*qd);
   }
-  // ClientReply at a server: stray, ignore.
+  // ClientReply at a server: stray, ignore. So is a BatchDerefRequest: only
+  // the simulator's batching ablation sends one.
 }
 
 SiteServer::Origination* SiteServer::find_origination(const wire::QueryId& qid) {
@@ -1350,16 +1367,6 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
     return;
   }
 
-  if (options_.batch_remote_derefs) {
-    wire::DerefEntry entry;
-    entry.oid = item.id;
-    entry.oid.presumed_site = dest;
-    entry.start = item.start;
-    entry.iter_stack = std::move(item.iter_stack);
-    p.pending_batches[send_to].push_back(std::move(entry));
-    return;
-  }
-
   OutgoingDeref d{std::move(item), dest, send_to};
   if (find_origination(qid) != nullptr) {
     (void)send_deref(qid, p, std::move(d), /*carry_all=*/false);
@@ -1406,45 +1413,6 @@ bool SiteServer::send_deref(const wire::QueryId& qid, Participation& p,
   return true;
 }
 
-bool SiteServer::flush_batches(const wire::QueryId& qid, Participation& p,
-                               bool carry_all) {
-  std::size_t left = 0;
-  for (const auto& [dest, items] : p.pending_batches) {
-    if (!items.empty()) ++left;
-  }
-  bool carried = false;
-  for (auto& [dest, items] : p.pending_batches) {
-    if (items.empty()) continue;
-    // Batches that fail before the last one leave dropped items to report,
-    // and only a ResultMessage reports them.
-    const bool carrier = carry_all && --left == 0 && p.dropped == 0;
-    const std::uint64_t batch_size = items.size();
-    wire::BatchDerefRequest bd;
-    bd.qid = qid;
-    bd.query = p.body;
-    bd.items = std::move(items);
-    bd.msg_seq = next_msg_seq_++;
-    bd.hop = p.current_hop + 1;
-    bd.path = p.out_path;
-    p.span.forwarded += batch_size;
-    Weight w = take_weight(qid, p, carrier, bd.spans);
-    bd.weight = w.exponents();
-    auto r = send_with_retry(dest, wire::Message(std::move(bd)), &p.span);
-    settle_weight(qid, p, std::move(w), carrier, r.ok());
-    if (!r.ok()) {
-      HF_DEBUG << "site " << store_.site() << ": batch deref to site " << dest
-               << " failed (" << r.error().to_string() << "); dropping batch";
-      p.span.forwarded -= batch_size;
-      note_dropped(qid, p, batch_size);
-      continue;
-    }
-    carried = carrier;
-    if (Origination* o = find_origination(qid)) o->involved.insert(dest);
-  }
-  p.pending_batches.clear();
-  return carried;
-}
-
 void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   if (stale_own_query(dr.qid, src, dr.spans)) return;
   Participation* ctx = participation(src, dr.qid, dr.query);
@@ -1483,37 +1451,6 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
     route_remote(dr.qid, p, std::move(item));
   }
   drain_and_flush(dr.qid);
-}
-
-void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
-  if (stale_own_query(bd.qid, src, bd.spans)) return;
-  Participation* ctx = participation(src, bd.qid, bd.query);
-  if (ctx == nullptr) return;  // see handle_deref
-  Participation& p = *ctx;
-  if (already_seen(p.seen, src, bd.msg_seq)) {  // see handle_deref
-    ++p.span.duplicates;
-    metrics().counter("dist.dedup_hits").inc();
-    return;
-  }
-  p.last_activity = now_tick();
-  note_engagement(p, bd.hop, bd.path);
-  repay_weight(bd.qid, p, Weight::from_exponents(bd.weight));
-  absorb_spans(bd.qid, std::move(bd.spans));
-  for (wire::DerefEntry& entry : bd.items) {
-    WorkItem item;
-    item.id = entry.oid;
-    item.start = entry.start;
-    item.next = entry.start;
-    item.iter_stack = entry.iter_stack.empty() ? std::vector<std::uint32_t>{1}
-                                               : std::move(entry.iter_stack);
-    if (store_.contains(item.id)) {
-      ++p.span.items;
-      p.exec->add_item(std::move(item));
-    } else {
-      route_remote(bd.qid, p, std::move(item));
-    }
-  }
-  drain_and_flush(bd.qid);
 }
 
 void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
@@ -1617,7 +1554,6 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   }
 
   if (Origination* o = find_origination(qid)) {
-    flush_batches(qid, p, /*carry_all=*/false);
     if (query.count_only()) {
       o->total_count += local_count;
       o->site_counts[store_.site()] += local_count;
@@ -1634,15 +1570,13 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
     return;
   }
 
-  // Participant. With nothing to report, the drain's last dereference (or
-  // last batch) carries every bit of held weight and the spans, and no
-  // ResultMessage is sent. A failed send drops items, which is itself
-  // something to report, so a ResultMessage follows: after the last send
-  // fails, or when an earlier batch failed and the last kept the weight.
+  // Participant. With nothing to report, the drain's last dereference
+  // carries every bit of held weight and the spans, and no ResultMessage is
+  // sent. A failed send drops its item, which is itself something to
+  // report, so a ResultMessage follows.
   const bool report = !ids.empty() || !vals.empty() || local_count > 0 ||
                       !p.pending_ids.empty() || !p.pending_values.empty() ||
                       p.pending_count > 0 || p.dropped > 0;
-  if (flush_batches(qid, p, /*carry_all=*/!report)) return;
   if (p.last_deref.has_value()) {
     OutgoingDeref last = std::move(*p.last_deref);
     p.last_deref.reset();
@@ -1740,7 +1674,7 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
   }
   // Simplify once at origination: every subsequent message (one per remote
   // pointer!) carries the rewritten, smaller body, encoded here once.
-  if (options_.rewrite_queries) cr.query = rewrite_query(cr.query);
+  cr.query = rewrite_query(cr.query);
   wire::QueryBody body(cr.query);
 
   metrics().counter("dist.queries_originated").inc();

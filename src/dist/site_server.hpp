@@ -26,8 +26,10 @@
 //   * ResultMessage — (originator only) merge results, recover weight.
 //   * QueryDone     — discard the local context.
 //
-// During a drain, dereferences of non-local objects become DerefRequests
-// sent to the target's presumed site with a borrowed share of our weight.
+// During a drain, each dereference of a non-local object becomes one
+// DerefRequest (the paper's one message per remote pointer; batching them
+// per destination is a simulator-only ablation) sent to the target's
+// presumed site with a borrowed share of our weight.
 // A participant holds the drain's last one back: when the drain ends with
 // no ids, values, count, stashed results or dropped items to report, that
 // dereference leaves with *all* held weight and the trace spans, and no
@@ -69,31 +71,16 @@ namespace hyperfile {
 
 struct SiteServerOptions {
   WorkSetDiscipline discipline = WorkSetDiscipline::kFifo;
-  /// How long the event loop blocks waiting for a message.
-  Duration poll_interval = Duration(2'000);
-  /// Buffer a drain's remote dereferences per destination and ship them as
-  /// one BatchDerefRequest each (ablation A5). Off by default: the paper's
-  /// one-message-per-pointer protocol starts remote work earlier.
-  bool batch_remote_derefs = false;
-  /// Run rewrite_query() on client queries before originating them — the
-  /// simplified body is what every subsequent message carries.
-  bool rewrite_queries = true;
   /// Shared-memory parallelism inside the site (paper Section 6 applied to
-  /// the distributed runtime). 0 = serial: every drain runs on the event-
-  /// loop thread. N > 0: a pool of N long-lived workers per site, created
-  /// once and shared across query contexts; drains fan object processing
-  /// out to the pool and join before any result or weight is flushed. The
-  /// event loop keeps exclusive ownership of message handling, store
-  /// writes, and termination accounting either way.
+  /// the distributed runtime). 0 or 1 = serial: every drain runs on the
+  /// event-loop thread. N >= 2: a pool of N long-lived workers per site,
+  /// created once and shared across query contexts; drains fan object
+  /// processing out to the pool and join before any result or weight is
+  /// flushed. The event loop keeps exclusive ownership of message handling,
+  /// store writes, and termination accounting either way.
   std::size_t drain_workers = 0;
-  /// Extra attempts after a failed send of a protocol message (derefs,
-  /// results, replies). Retries target *detected* transient failures
-  /// — a dead connection the transport can re-establish; silent loss is
-  /// invisible to the sender and is covered by context_ttl instead.
-  /// Receivers suppress duplicates by msg_seq, so a retry that raced a
-  /// slow-but-successful delivery is harmless.
-  int send_retries = 2;
-  /// Sleep before the first retry; doubles per attempt.
+  /// Sleep before the first retry of a failed protocol send (see
+  /// kSendRetries in site_server.cpp); doubles per attempt.
   Duration retry_backoff = Duration(200);
   /// Self-healing: a query context (participant or origination) idle longer
   /// than this is presumed orphaned — its QueryDone was lost, its weight
@@ -141,11 +128,6 @@ struct SiteServerOptions {
   /// Sites this server advertises its summary to. Cluster fills this with
   /// the whole deployment when summaries are enabled and the list is empty.
   std::vector<SiteId> summary_peers;
-  /// Relay cached peer records alongside our own record (epidemic spread on
-  /// sparse topologies). Receivers order gossiped records by their embedded
-  /// (epoch, version) and never treat them as liveness evidence for their
-  /// origin — only the frame's direct sender proved itself alive.
-  bool summary_gossip = true;
   /// WAL-shipped hot-standby replication (DESIGN.md §18, dist/replication.hpp).
   /// 0 = disabled. When set, this site ships its WAL tail to its assigned
   /// follower on this cadence, (re)subscribes to the primaries it follows,
@@ -154,9 +136,6 @@ struct SiteServerOptions {
   /// suspect_after > 0 for the failover half, and wal_dir on primaries for
   /// the shipping half (a volatile site can follow, but has no WAL to ship).
   Duration replication_interval = Duration(0);
-  /// Per-WalSegment budget of framed WAL bytes (always at least one whole
-  /// record, see read_wal_segment).
-  std::uint64_t replication_segment_bytes = 256 * 1024;
   /// Deployment-wide replica assignment: primary site -> follower site.
   /// Every site carries the whole map — routers need it to redirect work at
   /// a suspect's replica, not just the pairs they are part of. Cluster
@@ -250,7 +229,7 @@ class SiteServer {
     /// it). Decoded once, into `exec`; every frame this site sends for the
     /// query carries these same bytes.
     wire::QueryBody body;
-    /// Serial QueryExecution, or ParallelExecution when drain_workers > 0.
+    /// Serial QueryExecution, or ParallelExecution when drain_workers >= 2.
     std::unique_ptr<SiteExecution> exec;
     /// Failover executions over shadow stores (DESIGN.md §18), one per
     /// suspected primary this site answered for during the query, created
@@ -276,17 +255,14 @@ class SiteServer {
     /// (id, start) pairs already forwarded for objects absent here —
     /// prevents forwarding ping-pong when location records are stale.
     std::set<std::pair<ObjectId, std::uint32_t>> forwarded;
-    /// The current drain's last remote dereference (participants, without
-    /// batching): held until the drain ends, then sent with all held
-    /// weight when there is nothing else to report. Empty between messages.
+    /// The current drain's last remote dereference (participants only):
+    /// held until the drain ends, then sent with all held weight when there
+    /// is nothing else to report. Empty between messages.
     std::optional<OutgoingDeref> last_deref;
     /// Spans relayed here on weight-carrying frames and not yet delivered,
     /// one per site (merged by max). They leave with this site's next
     /// weight return, whether a dereference or a ResultMessage.
     std::map<SiteId, TraceSpan> relayed;
-    /// With batch_remote_derefs: dereferences buffered per destination
-    /// during the current drain, flushed as one message each.
-    std::unordered_map<SiteId, std::vector<wire::DerefEntry>> pending_batches;
     /// Duplicate suppression: msg_seq values already processed, per sender.
     /// A replayed message must not repay weight / add items a second time.
     std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
@@ -389,8 +365,6 @@ class SiteServer {
   }
   HF_EVENT_LOOP_ONLY void handle(wire::Envelope env);
   HF_EVENT_LOOP_ONLY void handle_deref(SiteId src, wire::DerefRequest dr);
-  HF_EVENT_LOOP_ONLY void handle_batch_deref(SiteId src,
-                                              wire::BatchDerefRequest bd);
   HF_EVENT_LOOP_ONLY void handle_start(SiteId src, wire::StartQuery sq);
   HF_EVENT_LOOP_ONLY void handle_result(SiteId src, wire::ResultMessage rm);
   HF_EVENT_LOOP_ONLY void handle_client_request(SiteId src,
@@ -520,8 +494,7 @@ class SiteServer {
   /// id's presumed site, or the name registry's next hop when the hint
   /// points here. The originator sends at once; a participant holds the
   /// item in `last_deref` and sends the one it displaces. Drops the item if
-  /// no destination exists. With batching enabled the item is buffered
-  /// instead (see flush_batches).
+  /// no destination exists.
   HF_EVENT_LOOP_ONLY void route_remote(const wire::QueryId& qid,
                                         Participation& p, WorkItem item);
   /// Send one DerefRequest with the weight take_weight gives it. On
@@ -530,12 +503,6 @@ class SiteServer {
   HF_EVENT_LOOP_ONLY bool send_deref(const wire::QueryId& qid,
                                       Participation& p, OutgoingDeref d,
                                       bool carry_all);
-  /// Ship the drain's buffered batches, one BatchDerefRequest per
-  /// destination. With `carry_all` the last one takes all held weight and
-  /// the outgoing spans, like send_deref, unless an earlier batch failed
-  /// (its dropped items need a ResultMessage); true iff that one was sent.
-  HF_EVENT_LOOP_ONLY bool flush_batches(const wire::QueryId& qid,
-                                         Participation& p, bool carry_all);
 
   /// Borrow / repay weight for qid: from the master weight if we originated
   /// it, else from the participant's held weight.
@@ -569,7 +536,7 @@ class SiteServer {
   /// The site's redo log (wal_dir set). unique_ptr so the address the store
   /// shadows into stays stable. Loop-confined like the store it mirrors.
   std::unique_ptr<WriteAheadLog> wal_;
-  /// Long-lived drain workers (drain_workers > 0), shared by every query
+  /// Long-lived drain workers (drain_workers >= 2), shared by every query
   /// context this site ever processes. Declared before contexts_ so any
   /// execution still alive at destruction outlives its pool references.
   std::unique_ptr<WorkerPool> drain_pool_;

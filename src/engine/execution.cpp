@@ -105,9 +105,10 @@ StepReport QueryExecution::step() {
 
   const Object* obj = store_.get(item.id);
   if (obj == nullptr) {
+    // A dangling pointer: count it and drop the item — partial results beat
+    // no results (paper Section 1).
     ++stats_.missing;
     report.kind = StepKind::kMissing;
-    if (options_.missing_sink) options_.missing_sink(item.id);
     return report;
   }
 

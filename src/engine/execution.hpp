@@ -63,9 +63,6 @@ struct ExecutionOptions {
   /// Receives work items for non-local objects (the distributed layer turns
   /// them into DerefRequest messages). Required if is_local can be false.
   std::function<void(WorkItem&&)> remote_sink;
-  /// Called for local ids missing from the store (dangling pointers). The
-  /// item is dropped — partial results beat no results (paper Section 1).
-  std::function<void(const ObjectId&)> missing_sink;
 };
 
 /// The per-(query, site) execution contract the distributed runtime programs
@@ -76,7 +73,7 @@ struct ExecutionOptions {
 /// Threading contract: every method is called from the owning site's
 /// event-loop thread only. drain() may use worker threads internally but
 /// must not return until they are provably idle again, and must invoke the
-/// remote/missing sinks on the calling thread only — the distributed layer's
+/// remote sink on the calling thread only — the distributed layer's
 /// termination accounting (weight borrows, message sends) depends on both.
 class SiteExecution {
  public:

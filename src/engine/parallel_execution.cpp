@@ -131,20 +131,15 @@ void ParallelExecution::drain() {
   // blocking point of the loop — it must not return before W is empty.
   pool_.run([this](std::size_t w) { worker_pass(w); });
   loop_pending_ = 0;  // the join guarantees every queue drained
-  // Workers have joined: W is empty and nothing is in flight. Flush the
-  // side-effects they could not perform themselves, on this (event-loop)
-  // thread, *before* returning — the caller sends results and releases
+  // Workers have joined: W is empty and nothing is in flight. Hand the
+  // remote dereferences they buffered to the sink on this (event-loop)
+  // thread *before* returning — the caller sends results and releases
   // termination weight right after drain(), and every remote dereference
   // must borrow its share first.
   std::vector<WorkItem> remote;
-  std::vector<ObjectId> missing;
   {
     MutexLock lock(mu_side_);
     remote.swap(remote_buffer_);
-    missing.swap(missing_buffer_);
-  }
-  if (options_.missing_sink) {
-    for (const ObjectId& id : missing) options_.missing_sink(id);
   }
   if (!remote.empty()) {
     assert(options_.remote_sink);
@@ -155,18 +150,8 @@ void ParallelExecution::drain() {
 std::size_t ParallelExecution::claim_own(std::size_t w,
                                          std::vector<WorkItem>& batch) {
   WorkerQueue& q = *queues_[w];
-  // Serial-observable path: with one worker, LIFO must interleave children
-  // ahead of older items exactly as the serial WorkSet does, which batch
-  // claiming would break (batch[1] would run before batch[0]'s children).
-  // Claim one item at a time there — the queue lock is uncontended with no
-  // thieves around. FIFO order is batch-insensitive, and with multiple
-  // workers no inter-item order is promised at all.
-  const std::size_t limit =
-      (options_.discipline == WorkSetDiscipline::kLifo && queues_.size() == 1)
-          ? 1
-          : kClaimBatch;
   MutexLock lock(q.mu);
-  const std::size_t take = std::min(q.dq.size(), limit);
+  const std::size_t take = std::min(q.dq.size(), kClaimBatch);
   for (std::size_t i = 0; i < take; ++i) {
     if (options_.discipline == WorkSetDiscipline::kFifo) {
       batch.push_back(std::move(q.dq.front()));
@@ -254,7 +239,6 @@ void ParallelExecution::worker_pass(std::size_t w) {
     // --- object processing: no locks, no allocation in steady state ---
     s.local_children.clear();
     s.remote_children.clear();
-    s.missing_here.clear();
     s.survivors.clear();
     s.captured.clear();
     EStats estats;
@@ -267,7 +251,6 @@ void ParallelExecution::worker_pass(std::size_t w) {
       const Object* obj = store_.get(item.id);
       if (obj == nullptr) {
         ++local.missing;
-        s.missing_here.push_back(item.id);
         continue;
       }
       ++local.processed;
@@ -317,13 +300,11 @@ void ParallelExecution::worker_pass(std::size_t w) {
       }
     }
 
-    if (!s.remote_children.empty() || !s.missing_here.empty()) {
+    if (!s.remote_children.empty()) {
       MutexLock lock(mu_side_);
       for (WorkItem& item : s.remote_children) {
         remote_buffer_.push_back(std::move(item));
       }
-      missing_buffer_.insert(missing_buffer_.end(), s.missing_here.begin(),
-                             s.missing_here.end());
     }
 
     if (!s.local_children.empty()) {

@@ -30,20 +30,19 @@
 //     across the worker queues.
 //   * drain() fans object processing out to a long-lived WorkerPool shared
 //     by every query context of the site; workers only *read* the store.
-//   * Non-local dereferences and missing ids discovered by workers are
-//     buffered, and the remote/missing sinks run on the event-loop thread
-//     after the pool has joined — so weight is borrowed and messages are
-//     sent only while workers are provably idle, keeping the
-//     weighted-message termination argument intact.
+//   * Non-local dereferences discovered by workers are buffered, and the
+//     remote sink runs on the event-loop thread after the pool has joined —
+//     so weight is borrowed and messages are sent only while workers are
+//     provably idle, keeping the weighted-message termination argument
+//     intact. Missing ids are only counted (EngineStats::missing).
 //
 // Pass termination: a worker parks only after finding its own queue and
 // every victim's queue empty; the pass ends when all workers are parked.
 // Only a queue's owner ever pushes to it, so "owner parked" means "queue
 // permanently empty" — all parked therefore implies no work anywhere.
 //
-// With one worker the engine is serial-observable: a single queue, owner
-// pops front (kFifo) or back (kLifo), children append in dereference order —
-// the same visit order as the serial WorkSet.
+// No visit order is promised. SiteServer builds a pool only for two or
+// more workers; one worker drains serially on the event loop instead.
 #pragma once
 
 #include <deque>
@@ -99,7 +98,6 @@ class ParallelExecution : public SiteExecution {
     std::vector<WorkItem> batch;
     std::vector<WorkItem> local_children;
     std::vector<WorkItem> remote_children;
-    std::vector<ObjectId> missing_here;
     std::vector<ObjectId> survivors;
     std::vector<Retrieved> captured;
     EOutcome out;
@@ -169,11 +167,10 @@ class ParallelExecution : public SiteExecution {
   std::vector<Retrieved> retrieved_ HF_GUARDED_BY(mu_results_);
   std::size_t retrieved_take_cursor_ HF_GUARDED_BY(mu_results_) = 0;
 
-  // Side-effects workers may not perform themselves: buffered during the
-  // pass, flushed by drain() on the event-loop thread after the join.
+  // Remote handoffs, which workers may not send themselves: buffered during
+  // the pass, flushed by drain() on the event-loop thread after the join.
   Mutex mu_side_;
   std::vector<WorkItem> remote_buffer_ HF_GUARDED_BY(mu_side_);
-  std::vector<ObjectId> missing_buffer_ HF_GUARDED_BY(mu_side_);
 
   // Stats: workers merge their local counters once at the end of each pass;
   // reads happen on the event-loop thread between drains.

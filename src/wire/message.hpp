@@ -20,6 +20,9 @@
 //     the trace spans instead (DerefRequest::spans).
 //   * QueryDone — originator tells involved sites to discard context Q
 //     after global termination.
+//   * BatchDerefRequest — a drain's dereferences to one site in one
+//     message. Only the simulator's batching ablation (A5) sends it; sites
+//     send one DerefRequest per remote pointer and ignore this message.
 //
 // Weights travel as exponent lists of exact dyadic fractions (see
 // term/weight.hpp); this module stores them uninterpreted.
@@ -123,10 +126,11 @@ struct DerefEntry {
   friend bool operator==(const DerefEntry&, const DerefEntry&) = default;
 };
 
-/// Extension (ablation A5): a drain's worth of dereferences to one site in
-/// a single message. The paper sends one message per remote pointer, which
-/// maximizes pipeline overlap; batching trades that overlap for fewer
-/// messages ("messages should be ... limited in number", Section 1).
+/// Ablation A5, simulator only: a drain's worth of dereferences to one site
+/// in a single message. The paper sends one message per remote pointer,
+/// which maximizes pipeline overlap; batching trades that overlap for fewer
+/// messages ("messages should be ... limited in number", Section 1). Sites
+/// neither send nor handle it.
 struct BatchDerefRequest {
   QueryId qid;
   QueryBody query;

@@ -15,6 +15,7 @@
 #include "engine/local_engine.hpp"
 #include "net/faulty.hpp"
 #include "net/inproc.hpp"
+#include "query/rewrite.hpp"
 #include "test_helpers.hpp"
 #include "wire/message.hpp"
 #include "wire/serialize.hpp"
@@ -254,72 +255,6 @@ TEST(Cluster, ManySequentialQueriesStayStable) {
   cluster.stop();
 }
 
-TEST(Cluster, BatchedDerefsProduceSameResults) {
-  SiteServerOptions options;
-  options.batch_remote_derefs = true;
-  Cluster cluster(3, options);
-  populate_cross_site_chain(cluster, 30);
-  Query q = parse_or_die(kClosure);
-  QueryResult expected = expected_on_merged(cluster, q);
-
-  cluster.start();
-  auto r = cluster.client().run(q);
-  ASSERT_TRUE(r.ok()) << r.error().to_string();
-  EXPECT_EQ(sorted(r.value().ids), sorted(expected.ids));
-  cluster.stop();
-
-  auto net = cluster.network_stats();
-  // The chain forces one batch per hop (each drain produces exactly one
-  // remote pointer), so batching is exercised even if it cannot save
-  // messages here.
-  EXPECT_GE(net.batch_deref_messages, 29u);
-  EXPECT_EQ(net.deref_messages, 0u);
-}
-
-TEST(Cluster, BatchedDerefsSaveMessagesOnFanout) {
-  // A star: the root points at 10 objects per remote site. Per-pointer mode
-  // sends 20 deref messages; batched mode sends 2.
-  auto build = [](Cluster& cluster) {
-    std::vector<ObjectId> leaves;
-    for (SiteId s = 1; s <= 2; ++s) {
-      for (int i = 0; i < 10; ++i) {
-        ObjectId id = cluster.store(s).allocate();
-        cluster.store(s).put(Object(id, {Tuple::keyword("hit")}));
-        leaves.push_back(id);
-      }
-    }
-    ObjectId root = cluster.store(0).allocate();
-    Object obj(root);
-    for (const ObjectId& leaf : leaves) obj.add(Tuple::pointer("Fan", leaf));
-    obj.add(Tuple::keyword("hit"));
-    cluster.store(0).put(std::move(obj));
-    cluster.store(0).create_set("S", std::span<const ObjectId>(&root, 1));
-  };
-  Query q = parse_or_die(R"(S (pointer, "Fan", ?X) ^^X (keyword, "hit", ?) -> T)");
-
-  Cluster plain(3);
-  build(plain);
-  plain.start();
-  auto r1 = plain.client().run(q);
-  ASSERT_TRUE(r1.ok());
-  plain.stop();
-
-  SiteServerOptions options;
-  options.batch_remote_derefs = true;
-  Cluster batched(3, options);
-  build(batched);
-  batched.start();
-  auto r2 = batched.client().run(q);
-  ASSERT_TRUE(r2.ok());
-  batched.stop();
-
-  EXPECT_EQ(r1.value().ids.size(), 21u);
-  EXPECT_EQ(sorted(r1.value().ids).size(), sorted(r2.value().ids).size());
-  EXPECT_EQ(plain.network_stats().deref_messages, 20u);
-  EXPECT_EQ(batched.network_stats().batch_deref_messages, 2u);
-  EXPECT_EQ(batched.network_stats().deref_messages, 0u);
-}
-
 TEST(Cluster, RewriteOnByDefaultPreservesResults) {
   Cluster cluster(3);
   populate_cross_site_chain(cluster, 18);
@@ -372,9 +307,7 @@ TEST_P(TerminationAlgos, PartialResultsOnFailure) {
 }
 
 TEST_P(TerminationAlgos, CountOnlyContinuationWorks) {
-  SiteServerOptions o = options();
-  o.batch_remote_derefs = true;  // exercise the combination too
-  Cluster cluster(3, o);
+  Cluster cluster(3, options());
   populate_cross_site_chain(cluster, 30);
   cluster.start();
   auto r1 = cluster.client().run(parse_or_die(
@@ -624,6 +557,45 @@ TEST(SiteServerProtocol, StragglerTellsEveryRelayingSiteQueryDone) {
   server.stop();
 }
 
+TEST(SiteServerProtocol, OriginatorShipsTheRewrittenBody) {
+  // Rewriting at origination is unconditional, so the body every
+  // participant receives encodes rewrite_query(q), not the client's query.
+  // Here the rewrite strips the wildcard select that follows a select.
+  InProcNetwork net(3);
+  SiteStore store(0);
+  const ObjectId local = store.allocate();
+  Object obj(local);
+  obj.add(Tuple::pointer("Reference", ObjectId(1, 1)));
+  obj.add(Tuple::pointer("Reference", ObjectId(2, 1)));
+  store.put(std::move(obj));
+  store.create_set("S", std::span<const ObjectId>(&local, 1));
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  std::vector<std::unique_ptr<MessageEndpoint>> participants;
+  participants.push_back(net.endpoint(1));
+  participants.push_back(net.endpoint(2));
+
+  const Query q = parse_or_die(
+      R"(S (pointer, "Reference", ?X) (?, ?, ?) ^^X (keyword, "hit", ?) -> T)");
+  const Query rewritten = rewrite_query(q);
+  ASSERT_EQ(rewritten.size() + 1, q.size());
+  const wire::Bytes want = wire::encode_query(rewritten);
+
+  wire::ClientRequest cr;
+  cr.client_seq = 1;
+  cr.query = q;
+  ASSERT_TRUE(participants[0]->send(0, cr).ok());
+  for (auto& peer : participants) {
+    SCOPED_TRACE("participant " + std::to_string(peer->self()));
+    auto env = peer->recv(Duration(5'000'000));
+    ASSERT_TRUE(env.has_value());
+    const auto* dr = std::get_if<wire::DerefRequest>(&env->message);
+    ASSERT_NE(dr, nullptr) << "variant " << env->message.index();
+    EXPECT_TRUE(std::ranges::equal(dr->query.bytes(), want));
+  }
+  server.stop();
+}
+
 TEST(SiteServerProtocol, SummaryAdvertDedupAndMalformedRecordRejection) {
   // Three REVIEW-driven contracts of the advert path, driven byte-for-byte:
   //  1. the (epoch, seq) high-water dedup suppresses duplicated and
@@ -783,39 +755,33 @@ Cluster::EndpointDecorator aim_at_carrier(CarrierFault* fault) {
 }
 
 TEST(WeightReturn, LastDereferenceCarriesWeightAndSpans) {
-  for (const bool batch : {false, true}) {
-    SCOPED_TRACE(batch ? "batched" : "one message per pointer");
-    SiteServerOptions options;
-    options.batch_remote_derefs = batch;
-    Cluster cluster(3, options);
-    const std::vector<ObjectId> ids = populate_last_hit_chain(cluster);
-    const Query q = parse_or_die(kClosure);
-    const std::vector<ObjectId> want = sorted(expected_on_merged(cluster, q).ids);
-    ASSERT_EQ(want, std::vector<ObjectId>{ids.back()});
-    cluster.start();
-    for (int round = 0; round < 3; ++round) {
-      const NetworkStats before = cluster.network_stats();
-      auto r = cluster.client().run(q, Duration(30'000'000));
-      ASSERT_TRUE(r.ok()) << r.error().to_string();
-      EXPECT_FALSE(r.value().partial);
-      EXPECT_EQ(sorted(r.value().ids), want);
-      ASSERT_TRUE(contexts_drain(cluster)) << "contexts left after the reply";
-      const NetworkStats after = cluster.network_stats();
-      // Only the drain that found the match sends a ResultMessage; every
-      // other participant drain returned its weight on its dereference.
-      EXPECT_EQ(after.result_messages - before.result_messages, 1u);
-      const std::uint64_t deref_frames =
-          (after.deref_messages - before.deref_messages) +
-          (after.batch_deref_messages - before.batch_deref_messages) +
-          (after.start_messages - before.start_messages);
-      std::uint64_t forwarded = 0;
-      for (const TraceSpan& s : r.value().trace.spans) forwarded += s.forwarded;
-      EXPECT_EQ(deref_frames, ids.size() - 1);  // one per hop
-      EXPECT_EQ(forwarded, deref_frames) << r.value().trace.to_text();
-      EXPECT_EQ(r.value().trace.spans.size(), 3u) << r.value().trace.to_text();
-    }
-    cluster.stop();
+  Cluster cluster(3);
+  const std::vector<ObjectId> ids = populate_last_hit_chain(cluster);
+  const Query q = parse_or_die(kClosure);
+  const std::vector<ObjectId> want = sorted(expected_on_merged(cluster, q).ids);
+  ASSERT_EQ(want, std::vector<ObjectId>{ids.back()});
+  cluster.start();
+  for (int round = 0; round < 3; ++round) {
+    const NetworkStats before = cluster.network_stats();
+    auto r = cluster.client().run(q, Duration(30'000'000));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_FALSE(r.value().partial);
+    EXPECT_EQ(sorted(r.value().ids), want);
+    ASSERT_TRUE(contexts_drain(cluster)) << "contexts left after the reply";
+    const NetworkStats after = cluster.network_stats();
+    // Only the drain that found the match sends a ResultMessage; every
+    // other participant drain returned its weight on its dereference.
+    EXPECT_EQ(after.result_messages - before.result_messages, 1u);
+    const std::uint64_t deref_frames =
+        (after.deref_messages - before.deref_messages) +
+        (after.start_messages - before.start_messages);
+    std::uint64_t forwarded = 0;
+    for (const TraceSpan& s : r.value().trace.spans) forwarded += s.forwarded;
+    EXPECT_EQ(deref_frames, ids.size() - 1);  // one per hop
+    EXPECT_EQ(forwarded, deref_frames) << r.value().trace.to_text();
+    EXPECT_EQ(r.value().trace.spans.size(), 3u) << r.value().trace.to_text();
   }
+  cluster.stop();
 }
 
 TEST(WeightReturn, LostCarrierAnswersPartialNeverWrong) {
@@ -887,55 +853,50 @@ TEST(WeightReturn, FailedSendIsReportedWhenAnotherCarriesTheWeight) {
   // report: one to site 2 or 3, which site 1 sees as crashed, and one to
   // the other, live one. Whichever leaves last, the dropped one must reach
   // the originator, so the reply is partial and still holds the live
-  // branch's match. Both crash targets run, so with batching one of them
-  // fails before the batch that would carry the weight.
-  for (const bool batch : {true, false}) {
-    for (const SiteId dead : {SiteId{2}, SiteId{3}}) {
-      SCOPED_TRACE(std::string(batch ? "batched" : "one message per pointer") +
-                   ", site " + std::to_string(dead) + " crashed");
-      SiteServerOptions options;
-      options.batch_remote_derefs = batch;
-      FaultInjectingEndpoint* site1 = nullptr;
-      Cluster cluster(
-          4, options, 1,
-          [&site1](SiteId site, std::unique_ptr<MessageEndpoint> inner)
-              -> std::unique_ptr<MessageEndpoint> {
-            if (site != 1) return inner;
-            auto ep = std::make_unique<FaultInjectingEndpoint>(
-                std::move(inner), FaultOptions{});
-            site1 = ep.get();
-            return ep;
-          });
-      // root (site 0) -> fork (site 1) -> a matching leaf on sites 2 and 3.
-      const ObjectId root = cluster.store(0).allocate();
-      const ObjectId fork = cluster.store(1).allocate();
-      const ObjectId leaf2 = cluster.store(2).allocate();
-      const ObjectId leaf3 = cluster.store(3).allocate();
-      Object root_obj(root);
-      root_obj.add(Tuple::pointer("Reference", fork));
-      cluster.store(0).put(std::move(root_obj));
-      Object fork_obj(fork);
-      fork_obj.add(Tuple::pointer("Reference", leaf2));
-      fork_obj.add(Tuple::pointer("Reference", leaf3));
-      cluster.store(1).put(std::move(fork_obj));
-      for (const ObjectId& leaf : {leaf2, leaf3}) {
-        Object leaf_obj(leaf);  // a self pointer keeps it in the closure
-        leaf_obj.add(Tuple::pointer("Reference", leaf));
-        leaf_obj.add(Tuple::keyword("hit"));
-        cluster.store(leaf.birth_site).put(std::move(leaf_obj));
-      }
-      cluster.store(0).create_set("S", std::span<const ObjectId>(&root, 1));
-      ASSERT_NE(site1, nullptr);
-      site1->crash(dead);
-      cluster.start();
-      auto r = cluster.client().run(parse_or_die(kClosure), Duration(10'000'000));
-      ASSERT_TRUE(r.ok()) << r.error().to_string();
-      EXPECT_TRUE(r.value().partial);
-      EXPECT_EQ(r.value().dropped_items, 1u);
-      EXPECT_EQ(r.value().ids, std::vector<ObjectId>{dead == 2 ? leaf3 : leaf2});
-      EXPECT_GT(site1->fault_stats().crashed, 0u);
-      cluster.stop();
+  // branch's match. Both crash targets run, so in one of them the failed
+  // send is the last dereference, the one that would carry the weight.
+  for (const SiteId dead : {SiteId{2}, SiteId{3}}) {
+    SCOPED_TRACE("site " + std::to_string(dead) + " crashed");
+    FaultInjectingEndpoint* site1 = nullptr;
+    Cluster cluster(
+        4, SiteServerOptions{}, 1,
+        [&site1](SiteId site, std::unique_ptr<MessageEndpoint> inner)
+            -> std::unique_ptr<MessageEndpoint> {
+          if (site != 1) return inner;
+          auto ep = std::make_unique<FaultInjectingEndpoint>(std::move(inner),
+                                                             FaultOptions{});
+          site1 = ep.get();
+          return ep;
+        });
+    // root (site 0) -> fork (site 1) -> a matching leaf on sites 2 and 3.
+    const ObjectId root = cluster.store(0).allocate();
+    const ObjectId fork = cluster.store(1).allocate();
+    const ObjectId leaf2 = cluster.store(2).allocate();
+    const ObjectId leaf3 = cluster.store(3).allocate();
+    Object root_obj(root);
+    root_obj.add(Tuple::pointer("Reference", fork));
+    cluster.store(0).put(std::move(root_obj));
+    Object fork_obj(fork);
+    fork_obj.add(Tuple::pointer("Reference", leaf2));
+    fork_obj.add(Tuple::pointer("Reference", leaf3));
+    cluster.store(1).put(std::move(fork_obj));
+    for (const ObjectId& leaf : {leaf2, leaf3}) {
+      Object leaf_obj(leaf);  // a self pointer keeps it in the closure
+      leaf_obj.add(Tuple::pointer("Reference", leaf));
+      leaf_obj.add(Tuple::keyword("hit"));
+      cluster.store(leaf.birth_site).put(std::move(leaf_obj));
     }
+    cluster.store(0).create_set("S", std::span<const ObjectId>(&root, 1));
+    ASSERT_NE(site1, nullptr);
+    site1->crash(dead);
+    cluster.start();
+    auto r = cluster.client().run(parse_or_die(kClosure), Duration(10'000'000));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_TRUE(r.value().partial);
+    EXPECT_EQ(r.value().dropped_items, 1u);
+    EXPECT_EQ(r.value().ids, std::vector<ObjectId>{dead == 2 ? leaf3 : leaf2});
+    EXPECT_GT(site1->fault_stats().crashed, 0u);
+    cluster.stop();
   }
 }
 
@@ -1075,40 +1036,29 @@ TEST(QueryBody, ParticipantForwardsTheBytesItReceived) {
   ASSERT_TRUE(body.decode().ok());
   ASSERT_NE(body, wire::QueryBody(q));
 
-  for (const bool batch : {false, true}) {
-    SCOPED_TRACE(batch ? "batched" : "one message per pointer");
-    InProcNetwork net(2);
-    SiteStore store(0);
-    const ObjectId local = store.allocate();
-    Object obj(local);
-    obj.add(Tuple::pointer("Reference", ObjectId(1, 1)));
-    store.put(std::move(obj));
-    SiteServerOptions options;
-    options.batch_remote_derefs = batch;
-    SiteServer server(net.endpoint(0), std::move(store), options);
-    server.start();
-    auto peer = net.endpoint(1);
+  InProcNetwork net(2);
+  SiteStore store(0);
+  const ObjectId local = store.allocate();
+  Object obj(local);
+  obj.add(Tuple::pointer("Reference", ObjectId(1, 1)));
+  store.put(std::move(obj));
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  auto peer = net.endpoint(1);
 
-    wire::DerefRequest dr;
-    dr.qid = {1, 1};
-    dr.query = body;
-    dr.oid = local;
-    dr.weight = {1};
-    dr.msg_seq = 1;
-    ASSERT_TRUE(peer->send(0, dr).ok());
-    auto env = peer->recv(Duration(5'000'000));
-    ASSERT_TRUE(env.has_value());
-    const wire::QueryBody* forwarded = nullptr;
-    if (const auto* fwd = std::get_if<wire::DerefRequest>(&env->message)) {
-      forwarded = &fwd->query;
-    } else if (const auto* fb =
-                   std::get_if<wire::BatchDerefRequest>(&env->message)) {
-      forwarded = &fb->query;
-    }
-    ASSERT_NE(forwarded, nullptr) << "variant " << env->message.index();
-    EXPECT_TRUE(std::ranges::equal(forwarded->bytes(), received));
-    server.stop();
-  }
+  wire::DerefRequest dr;
+  dr.qid = {1, 1};
+  dr.query = body;
+  dr.oid = local;
+  dr.weight = {1};
+  dr.msg_seq = 1;
+  ASSERT_TRUE(peer->send(0, dr).ok());
+  auto env = peer->recv(Duration(5'000'000));
+  ASSERT_TRUE(env.has_value());
+  const auto* fwd = std::get_if<wire::DerefRequest>(&env->message);
+  ASSERT_NE(fwd, nullptr) << "variant " << env->message.index();
+  EXPECT_TRUE(std::ranges::equal(fwd->query.bytes(), received));
+  server.stop();
 }
 
 TEST(QueryBody, ChainClosureDecodesOncePerSite) {

@@ -64,19 +64,19 @@ TEST(Execution, RemoteSinkReceivesNonLocalItems) {
   EXPECT_EQ(exec.stats().remote_handoffs, 1u);
 }
 
-TEST(Execution, MissingSinkInvoked) {
+TEST(Execution, MissingIdIsCountedAndDropped) {
+  // A dangling pointer: the id is local but the store has no object.
   SiteStore store(0);
   ObjectId ghost(0, 9);
   store.create_set("S", std::vector<ObjectId>{ghost});
-  std::vector<ObjectId> missing;
-  ExecutionOptions opts;
-  opts.missing_sink = [&](const ObjectId& id) { missing.push_back(id); };
   Query q = parse_or_die(R"(S (?, ?, ?) -> T)");
-  QueryExecution exec(q, store, std::move(opts));
+  QueryExecution exec(q, store);
   ASSERT_TRUE(exec.seed_initial().ok());
-  exec.drain();
-  ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0], ghost);
+  EXPECT_EQ(exec.step().kind, StepKind::kMissing);
+  EXPECT_TRUE(exec.idle());
+  EXPECT_EQ(exec.stats().missing, 1u);
+  EXPECT_EQ(exec.stats().processed, 0u);
+  EXPECT_TRUE(exec.result_ids().empty());
 }
 
 TEST(Execution, TakeCursorsReturnOnlyNewBatches) {

@@ -303,32 +303,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(WorkSetDiscipline::kFifo,
                                          WorkSetDiscipline::kLifo)));
 
-TEST(WorkStealingDrain, SingleWorkerIsSerialObservable) {
-  // With one worker the engine must visit objects in exactly the serial
-  // WorkSet order for both disciplines — result ids in identical sequence,
-  // not merely as sets.
-  for (auto discipline : {WorkSetDiscipline::kFifo, WorkSetDiscipline::kLifo}) {
-    SiteStore store(0);
-    populate_graph(store, 99, 40);
-    const Query q = parse_or_die(kGraphQuery);
-    ExecutionOptions options;
-    options.discipline = discipline;
-
-    QueryExecution serial(q, store, options);
-    DrainObservation expected = observe(serial);
-
-    WorkerPool pool(1);
-    ParallelExecution parallel(q, store, pool, options);
-    DrainObservation got = observe(parallel);
-    EXPECT_EQ(got.ids, expected.ids)
-        << "discipline=" << static_cast<int>(discipline);
-  }
-}
-
-TEST(WorkStealingDrain, RemoteAndMissingSinksRunOnCallingThread) {
-  // Workers buffer remote handoffs and missing ids during the pass; drain()
-  // must flush both sinks on the calling (event-loop) thread after the pool
-  // joins — the termination accounting upstream depends on it.
+TEST(WorkStealingDrain, RemoteSinkRunsOnCallingThread) {
+  // Workers buffer remote handoffs during the pass; drain() must flush them
+  // to the sink on the calling (event-loop) thread after the pool joins —
+  // the termination accounting upstream depends on it. A dangling pointer
+  // is only counted.
   SiteStore store(0);
   std::vector<ObjectId> ids;
   for (int i = 0; i < 8; ++i) ids.push_back(store.allocate());
@@ -347,16 +326,11 @@ TEST(WorkStealingDrain, RemoteAndMissingSinksRunOnCallingThread) {
 
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<WorkItem> remote_items;
-  std::vector<ObjectId> missing_ids;
   ExecutionOptions options;
   options.is_local = [&](const ObjectId& id) { return id.birth_site == 0; };
   options.remote_sink = [&](WorkItem&& item) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     remote_items.push_back(std::move(item));
-  };
-  options.missing_sink = [&](const ObjectId& id) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    missing_ids.push_back(id);
   };
 
   WorkerPool pool(4);
@@ -366,8 +340,6 @@ TEST(WorkStealingDrain, RemoteAndMissingSinksRunOnCallingThread) {
 
   ASSERT_EQ(remote_items.size(), 1u);
   EXPECT_EQ(remote_items[0].id, remote_id);
-  ASSERT_EQ(missing_ids.size(), 1u);
-  EXPECT_EQ(missing_ids[0], dangling);
   const EngineStats s = exec.stats();
   EXPECT_EQ(s.remote_handoffs, 1u);
   EXPECT_EQ(s.missing, 1u);

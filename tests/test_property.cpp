@@ -150,7 +150,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Equivalence,
 struct ClusterVariant {
   std::uint64_t seed;
   WorkSetDiscipline discipline;
-  bool batch;
 };
 
 class ClusterEquivalence : public ::testing::TestWithParam<ClusterVariant> {};
@@ -170,7 +169,6 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
 
   SiteServerOptions options;
   options.discipline = GetParam().discipline;
-  options.batch_remote_derefs = GetParam().batch;
   Cluster cluster(kSites, options);
   {
     Rng rng_same(seed);
@@ -208,12 +206,12 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
 constexpr auto kBfs = WorkSetDiscipline::kFifo;
 constexpr auto kDfs = WorkSetDiscipline::kLifo;
 
-/// "seed25_bfs_batch": the case name, and what gtest prints for the
-/// parameter into each ctest name. Its default would dump the struct's
-/// bytes, padding included, which differ from build to build.
+/// "seed25_bfs": the case name, and what gtest prints for the parameter
+/// into each ctest name. Its default would dump the struct's bytes, padding
+/// included, which differ from build to build.
 std::string variant_label(const ClusterVariant& v) {
   return "seed" + std::to_string(v.seed) +
-         (v.discipline == kBfs ? "_bfs" : "_dfs") + (v.batch ? "_batch" : "");
+         (v.discipline == kBfs ? "_bfs" : "_dfs");
 }
 void PrintTo(const ClusterVariant& v, std::ostream* os) {
   *os << variant_label(v);
@@ -221,14 +219,10 @@ void PrintTo(const ClusterVariant& v, std::ostream* os) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ClusterEquivalence,
-    ::testing::Values(ClusterVariant{5u, kBfs, false},
-                      ClusterVariant{15u, kBfs, false},
-                      ClusterVariant{25u, kBfs, true},
-                      ClusterVariant{35u, kBfs, true},
-                      ClusterVariant{45u, kDfs, false},
-                      ClusterVariant{65u, kDfs, false},
-                      ClusterVariant{75u, kDfs, true},
-                      ClusterVariant{85u, kDfs, true}),
+    ::testing::Values(ClusterVariant{5u, kBfs}, ClusterVariant{15u, kBfs},
+                      ClusterVariant{25u, kBfs}, ClusterVariant{35u, kBfs},
+                      ClusterVariant{45u, kDfs}, ClusterVariant{65u, kDfs},
+                      ClusterVariant{75u, kDfs}, ClusterVariant{85u, kDfs}),
     [](const ::testing::TestParamInfo<ClusterVariant>& info) {
       return variant_label(info.param);
     });

@@ -96,7 +96,7 @@ SIDE_EFFECT_CALLS = {
     # engine seeding / drains
     "add_item", "seed_local_set", "seed_initial", "drain", "drain_and_flush",
     # routing / replies
-    "route_remote", "flush_batches", "send_deref", "send_reply",
+    "route_remote", "send_deref", "send_reply",
     # trace spans relayed on weight-carrying frames (DESIGN.md §4): folding
     # them in before the dedup guard would merge a duplicated frame's spans
     # and grow the query's involved set
