@@ -20,6 +20,8 @@
 // with 3 sites draining concurrently the serial configuration already uses
 // up to 3 cores, so the pool can only help on hosts with spare ones.
 //
+// Each row times --runs queries (default 15) after one untimed warm-up and
+// reports their mean, median and quartiles.
 // Emits BENCH_parallel_site.json (override with --json <path>).
 #include <memory>
 #include <thread>
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
   JsonSink json("parallel_site", &argc, argv);
 
   WorkloadShape shape;
-  int runs = 3;
+  int runs = 15;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
@@ -248,8 +250,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(kSites), shape.nodes_per_site,
       shape.tuples_per_node, shape.chars_per_tuple, hw_threads);
   std::printf("%-8s %-8s %12s %12s %10s %8s %8s %12s %10s\n", "net",
-              "workers", "mean(ms)", "min(ms)", "results", "steals", "stolen",
-              "wait(ms)", "speedup");
+              "workers", "mean(ms)", "median(ms)", "results", "steals",
+              "stolen", "wait(ms)", "speedup");
 
   const Query q = bench_query();
   const std::size_t worker_counts[] = {0, 1, 2, 4, 8};
@@ -273,7 +275,7 @@ int main(int argc, char** argv) {
       const double speedup =
           serial_mean > 0 ? serial_mean / out.wall.mean_ms : 0;
       std::printf("%-8s %-8zu %12.2f %12.2f %10zu %8llu %8llu %12.2f %9.2fx\n",
-                  transport, workers, out.wall.mean_ms, out.wall.min_ms,
+                  transport, workers, out.wall.mean_ms, out.wall.median_ms,
                   out.results, static_cast<unsigned long long>(out.drain.steals),
                   static_cast<unsigned long long>(out.drain.stolen_items),
                   static_cast<double>(out.drain.queue_wait_us) / 1000.0,
@@ -293,6 +295,10 @@ int main(int argc, char** argv) {
       rec.max = out.wall.max_ms;
       rec.counters = {
           {"workers", static_cast<double>(workers)},
+          {"runs", static_cast<double>(out.wall.runs)},
+          {"median_ms", out.wall.median_ms},
+          {"p25_ms", out.wall.p25_ms},
+          {"p75_ms", out.wall.p75_ms},
           {"results", static_cast<double>(out.results)},
           {"expected_results", static_cast<double>(out.expected)},
           {"speedup_vs_serial", speedup},

@@ -105,8 +105,22 @@ struct WallStats {
   double mean_ms = 0;
   double min_ms = 0;
   double max_ms = 0;
+  double median_ms = 0;
+  double p25_ms = 0;
+  double p75_ms = 0;
   int runs = 0;
 };
+
+/// The q-quantile (0 <= q <= 1) of ascending `sorted`, interpolating
+/// linearly between the two nearest samples; 0 for no samples.
+inline double quantile_sorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] + (pos - static_cast<double>(lo)) *
+                          (sorted[lo + 1] - sorted[lo]);
+}
 
 /// Time `fn` `runs` times (after `warmup` untimed runs) and report wall
 /// milliseconds.
@@ -116,18 +130,22 @@ WallStats time_wall(Fn&& fn, int runs, int warmup = 1) {
   WallStats out;
   if (runs <= 0) return out;  // see run_series: no 1e300 sentinel, no 0/0
   out.runs = runs;
-  out.min_ms = 1e300;
+  std::vector<double> samples;
   for (int i = 0; i < runs; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    out.mean_ms += ms;
-    out.min_ms = std::min(out.min_ms, ms);
-    out.max_ms = std::max(out.max_ms, ms);
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    out.mean_ms += samples.back();
   }
   out.mean_ms /= runs;
+  std::sort(samples.begin(), samples.end());
+  out.min_ms = samples.front();
+  out.max_ms = samples.back();
+  out.median_ms = quantile_sorted(samples, 0.5);
+  out.p25_ms = quantile_sorted(samples, 0.25);
+  out.p75_ms = quantile_sorted(samples, 0.75);
   return out;
 }
 

@@ -32,12 +32,20 @@ constexpr std::uint64_t kReplicationSegmentBytes = 256 * 1024;
 
 /// Record (src, seq) in the per-context dedup map; true iff the message was
 /// already processed. seq 0 marks an unsequenced message and is never
-/// suppressed.
-bool already_seen(
-    std::unordered_map<SiteId, std::unordered_set<std::uint64_t>>& seen,
-    SiteId src, std::uint64_t seq) {
+/// suppressed. A sender numbers its frames from one increasing stream, so
+/// a new seq is almost always the largest yet and is appended; a
+/// reordered one is inserted in place.
+bool already_seen(SeenSeqs& seen, SiteId src, std::uint64_t seq) {
   if (seq == 0) return false;
-  return !seen[src].insert(seq).second;
+  std::vector<std::uint64_t>& seqs = seen[src];
+  if (seqs.empty() || seqs.back() < seq) {
+    seqs.push_back(seq);
+    return false;
+  }
+  const auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
+  if (*it == seq) return true;
+  seqs.insert(it, seq);
+  return false;
 }
 
 /// High-water-mark variant for process-lifetime streams (summary adverts):
@@ -1438,12 +1446,12 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
     metrics().counter("dist.prune_false_positives").inc();
   }
 
-  WorkItem item;
-  item.id = dr.oid;
-  item.start = dr.start;
-  item.next = dr.start;
-  item.iter_stack = dr.iter_stack.empty() ? std::vector<std::uint32_t>{1}
-                                          : dr.iter_stack;
+  WorkItem item{.id = dr.oid,
+                .start = dr.start,
+                .next = dr.start,
+                .iter_stack = std::move(dr.iter_stack),
+                .mvars = {}};
+  if (item.iter_stack.empty()) item.iter_stack.push_back(1);
   if (store_.contains(item.id)) {
     ++p.span.items;
     p.exec->add_item(std::move(item));

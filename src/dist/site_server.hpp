@@ -151,6 +151,11 @@ struct SummaryAdvertHighWater {
   std::uint64_t seq = 0;
 };
 
+/// Per-context duplicate suppression: for each sender, the msg_seq values
+/// already processed, in ascending order (see already_seen in
+/// site_server.cpp).
+using SeenSeqs = std::unordered_map<SiteId, std::vector<std::uint64_t>>;
+
 class SiteServer {
  public:
   SiteServer(std::unique_ptr<MessageEndpoint> endpoint, SiteStore store,
@@ -265,7 +270,7 @@ class SiteServer {
     std::map<SiteId, TraceSpan> relayed;
     /// Duplicate suppression: msg_seq values already processed, per sender.
     /// A replayed message must not repay weight / add items a second time.
-    std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
+    SeenSeqs seen;
     /// Results whose send to the originator failed even after retries;
     /// stashed (with their weight back in `weight`) and re-flushed by the
     /// TTL sweep or the next drain.
@@ -303,7 +308,7 @@ class SiteServer {
     std::unordered_set<SiteId> involved;
     /// Duplicate suppression for ResultMessages, per sender (see
     /// Participation::seen).
-    std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
+    SeenSeqs seen;
     /// Known losses: items this originator dropped plus every
     /// ResultMessage::dropped_items reported by participants. Nonzero =>
     /// the reply is flagged partial.

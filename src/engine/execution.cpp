@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace hyperfile {
 
@@ -115,6 +116,11 @@ StepReport QueryExecution::step() {
   ++stats_.processed;
   report.kind = StepKind::kProcessed;
 
+  // O.mvars always starts as {}: the item borrows the execution's one
+  // bindings table, cleared, and hands it back below, so a warmed drain
+  // binds without allocating.
+  bindings_.clear();
+  std::swap(item.mvars, bindings_);
   EStats estats;
   const std::uint32_t n = query_.size();
   bool alive = true;
@@ -135,6 +141,7 @@ StepReport QueryExecution::step() {
     }
     alive = out.alive;
   }
+  std::swap(item.mvars, bindings_);
   stats_.tuples_scanned += estats.tuples_scanned;
   stats_.derefs_followed += estats.derefs_followed;
 

@@ -178,6 +178,7 @@ class QueryExecution : public SiteExecution {
   std::set<std::tuple<std::uint32_t, ObjectId, Value>> retrieved_seen_;
   EngineStats stats_;
   EOutcome scratch_;  // apply_filter out-param, reused across step() calls
+  MatchBindings bindings_;  // lent to each item step() processes
 };
 
 }  // namespace hyperfile

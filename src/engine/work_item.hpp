@@ -19,28 +19,39 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/value.hpp"
 
 namespace hyperfile {
 
+/// O.mvars: the values bound to each matching variable, as a flat list of
+/// (variable, values) slots. A query names few variables, so a linear scan
+/// beats hashing. clear() empties the slots but keeps them, names and
+/// capacity included: a table reused across items (QueryExecution lends
+/// one to each item it processes) binds without allocating once it has
+/// seen the query's variables. A slot with no values is unbound.
 class MatchBindings {
  public:
   /// Bind a value to `var` (set semantics: duplicates ignored).
   void bind(const std::string& var, const Value& v) {
-    auto& vals = vars_[var];
-    for (const auto& existing : vals) {
-      if (existing == v) return;
+    for (Slot& s : slots_) {
+      if (s.var != var) continue;
+      for (const auto& existing : s.values) {
+        if (existing == v) return;
+      }
+      s.values.push_back(v);
+      return;
     }
-    vals.push_back(v);
+    slots_.push_back(Slot{var, {v}});
   }
 
   /// Values bound to `var`, or nullptr if none.
   const std::vector<Value>* lookup(const std::string& var) const {
-    auto it = vars_.find(var);
-    return it == vars_.end() ? nullptr : &it->second;
+    for (const Slot& s : slots_) {
+      if (s.var == var) return s.values.empty() ? nullptr : &s.values;
+    }
+    return nullptr;
   }
 
   bool contains(const std::string& var, const Value& v) const {
@@ -52,11 +63,23 @@ class MatchBindings {
     return false;
   }
 
-  void clear() { vars_.clear(); }
-  bool empty() const { return vars_.empty(); }
+  void clear() {
+    for (Slot& s : slots_) s.values.clear();
+  }
+  bool empty() const {
+    for (const Slot& s : slots_) {
+      if (!s.values.empty()) return false;
+    }
+    return true;
+  }
 
  private:
-  std::unordered_map<std::string, std::vector<Value>> vars_;
+  struct Slot {
+    std::string var;
+    std::vector<Value> values;
+  };
+
+  std::vector<Slot> slots_;  // one per variable ever bound here
 };
 
 struct WorkItem {

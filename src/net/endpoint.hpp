@@ -1,10 +1,14 @@
 // Message endpoint abstraction: what a HyperFile site (or client) uses to
-// talk to the rest of the deployment. Two implementations:
+// talk to the rest of the deployment. Implementations:
 //   * InProcNetwork (net/inproc.hpp)    — threads in one process;
-//   * TcpNetwork    (net/tcp.hpp)       — real sockets on localhost/LAN.
+//   * TcpNetwork / EpollNetwork (net/transport.hpp) — real sockets on
+//     localhost/LAN;
+//   * FaultInjectingEndpoint (net/faulty.hpp) — a decorator over either.
 //
-// Both serialize every message through the wire format, so the in-process
-// runtime exercises exactly the bytes a TCP deployment would exchange.
+// All of them serialize every message through the wire format, so the
+// in-process runtime exercises exactly the bytes a TCP deployment would
+// exchange. send() encodes from a const reference: a caller keeps its
+// message (to retry it, say) and no send copies one.
 #pragma once
 
 #include <optional>
@@ -23,8 +27,9 @@ class MessageEndpoint {
   virtual SiteId self() const = 0;
 
   /// Fire-and-forget send (the paper's protocol needs no request/response
-  /// pairing: results flow back as ordinary messages).
-  virtual Result<void> send(SiteId to, wire::Message message) = 0;
+  /// pairing: results flow back as ordinary messages). The message is
+  /// encoded before send returns; the caller still owns it.
+  virtual Result<void> send(SiteId to, const wire::Message& message) = 0;
 
   /// Blocking receive with timeout; nullopt on timeout or shutdown.
   HF_BLOCKING virtual std::optional<wire::Envelope> recv(Duration timeout) = 0;
@@ -51,12 +56,14 @@ struct NetworkStats {
   std::uint64_t start_messages = 0;
   std::uint64_t done_messages = 0;
 
-  void record(const wire::Message& m, std::size_t bytes);
-  /// Same classification from a Message::index() captured before the
-  /// message was consumed by encoding — lets transports count per-type
-  /// without re-decoding the frame.
+  /// Count one delivered frame of the given Message::index(), and mirror
+  /// it into the process-wide registry (net.messages_sent, net.bytes_sent).
   void record_tag(std::size_t variant_index, std::size_t bytes);
+  /// One frame's counts, unmirrored: for a transport that counts a frame
+  /// before handing it over and takes the count back if that fails.
+  static NetworkStats frame(std::size_t variant_index, std::size_t bytes);
   NetworkStats& operator+=(const NetworkStats& o);
+  NetworkStats& operator-=(const NetworkStats& o);
 };
 
 }  // namespace hyperfile

@@ -463,11 +463,11 @@ void EpollNetwork::teardown_conn(const ConnPtr& conn,
   }
 }
 
-Result<void> EpollNetwork::send(SiteId to, wire::Message message) {
+Result<void> EpollNetwork::send(SiteId to, const wire::Message& message) {
   static Counter& busy_rejects = metrics().counter("net.epoll.busy_rejects");
   const std::size_t tag = message.index();
   static thread_local wire::Encoder enc;
-  wire::encode_envelope(wire::Envelope{self_, to, std::move(message)}, enc);
+  wire::encode_envelope(self_, to, message, enc);
 
   if (to == self_) {
     auto env = wire::decode_envelope(enc.bytes());

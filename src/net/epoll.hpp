@@ -70,7 +70,8 @@ class EpollNetwork final : public SocketTransport {
   /// Enqueue-and-wake: never blocks, never touches a socket. kBusy when the
   /// destination queue is full; kIo when the previous incarnation of the
   /// connection failed (tombstone consumed — retry to reconnect).
-  HF_ANY_THREAD Result<void> send(SiteId to, wire::Message message) override;
+  HF_ANY_THREAD Result<void> send(SiteId to,
+                                  const wire::Message& message) override;
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override;
 
   /// Readiness-driven: inbound frames land in inbox_ from the socket loop,

@@ -81,14 +81,15 @@ void FaultInjectingEndpoint::deliver(std::vector<Held> due) {
   std::uint64_t delivered = 0;
   for (auto& h : due) {
     ++released;
-    if (inner_->send(h.to, std::move(h.message)).ok()) ++delivered;
+    if (inner_->send(h.to, h.message).ok()) ++delivered;
   }
   MutexLock lock(mu_);
   stats_.released += released;
   stats_.delivered += delivered;
 }
 
-Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
+Result<void> FaultInjectingEndpoint::send(SiteId to,
+                                          const wire::Message& message) {
   std::vector<Held> due;
   std::vector<SiteId> dead_links;
   enum class Verdict {
@@ -131,7 +132,7 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
                  ? 1
                  : span;
       ++stats_.held;
-      held_.push_back(Held{to, std::move(message), ticks_ + hold});
+      held_.push_back(Held{to, message, ticks_ + hold});
       verdict = Verdict::kHold;
     } else {
       ++stats_.forwarded;
@@ -182,16 +183,15 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
       // inner endpoint below.
       return {};
     case Verdict::kDuplicate: {
-      wire::Message copy = message;
-      auto r = inner_->send(to, std::move(message));
-      auto r2 = inner_->send(to, std::move(copy));
+      auto r = inner_->send(to, message);
+      auto r2 = inner_->send(to, message);
       MutexLock lock(mu_);
       if (r.ok()) ++stats_.delivered;
       if (r2.ok()) ++stats_.delivered;
       return r;
     }
     case Verdict::kForward: {
-      auto r = inner_->send(to, std::move(message));
+      auto r = inner_->send(to, message);
       if (r.ok()) {
         MutexLock lock(mu_);
         ++stats_.delivered;

@@ -86,7 +86,7 @@ class FaultInjectingEndpoint final : public MessageEndpoint {
 
   SiteId self() const override { return inner_->self(); }
 
-  Result<void> send(SiteId to, wire::Message message) override;
+  Result<void> send(SiteId to, const wire::Message& message) override;
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override;
 
   /// Cut the link to `peer`: sends are silently swallowed until heal(peer).

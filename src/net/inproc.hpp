@@ -2,6 +2,13 @@
 // serialized and deserialized through the wire format. This is the default
 // substrate for the threaded multi-site runtime (dist/cluster.hpp) — it has
 // real concurrency and real bytes, just no sockets.
+//
+// A mailbox holds encoded frames. send() encodes on the sender's thread and
+// queues a copy of the bytes; recv() decodes on the receiver's thread. So
+// the heap blocks of a decoded message are allocated and freed by the site
+// that handles it, and a send allocates only the frame (plus, now and then,
+// a mailbox node). A frame that fails to decode is dropped at recv, counted
+// in `net.inproc.frame_drops` and logged, as the socket readers do.
 #pragma once
 
 #include <memory>
@@ -47,9 +54,9 @@ class InProcNetwork {
  private:
   friend class InProcEndpoint;
 
-  Result<void> send(SiteId from, SiteId to, wire::Message message);
+  Result<void> send(SiteId from, SiteId to, const wire::Message& message);
 
-  std::vector<std::unique_ptr<Channel<wire::Envelope>>> mailboxes_;  // ctor-only
+  std::vector<std::unique_ptr<Channel<wire::Bytes>>> mailboxes_;  // ctor-only
   mutable Mutex stats_mu_;
   NetworkStats stats_ HF_GUARDED_BY(stats_mu_);
 };

@@ -315,9 +315,7 @@ Result<TcpNetwork::ConnPtr> TcpNetwork::peer_conn(SiteId to) {
   return conn;
 }
 
-Result<void> TcpNetwork::send(SiteId to, wire::Message message) {
-  // The variant index survives the encode (which consumes the message);
-  // both delivery paths classify stats from it.
+Result<void> TcpNetwork::send(SiteId to, const wire::Message& message) {
   const std::size_t tag = message.index();
   // Scratch buffers reused across sends on this thread: the encoded bytes
   // are consumed before returning, so the steady state allocates nothing.
@@ -325,7 +323,7 @@ Result<void> TcpNetwork::send(SiteId to, wire::Message message) {
   static thread_local wire::Bytes frame;
   if (to == self_) {
     // Local delivery without a socket round-trip (still wire-encoded).
-    wire::encode_envelope(wire::Envelope{self_, to, std::move(message)}, enc);
+    wire::encode_envelope(self_, to, message, enc);
     auto env = wire::decode_envelope(enc.bytes());
     if (!env.ok()) return env.error();
     if (!inbox_.push(std::move(env).value())) {
@@ -339,7 +337,7 @@ Result<void> TcpNetwork::send(SiteId to, wire::Message message) {
     return {};
   }
 
-  wire::encode_envelope(wire::Envelope{self_, to, std::move(message)}, enc);
+  wire::encode_envelope(self_, to, message, enc);
   const wire::Bytes& body = enc.bytes();
   auto conn = peer_conn(to);
   if (!conn.ok()) return conn.error();

@@ -62,7 +62,7 @@ class TcpNetwork final : public SocketTransport {
   SiteId self() const override { return self_; }
   std::uint16_t bound_port() const override { return bound_port_; }
 
-  Result<void> send(SiteId to, wire::Message message) override;
+  Result<void> send(SiteId to, const wire::Message& message) override;
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override;
 
   void update_peer(SiteId site, TcpPeer peer) override;

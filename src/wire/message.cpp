@@ -767,14 +767,18 @@ Result<Message> decode_message(std::span<const std::uint8_t> data) {
                     "unknown message tag " + std::to_string(tag.value()));
 }
 
-void encode_envelope(const Envelope& env, Encoder& e) {
+void encode_envelope(SiteId src, SiteId dst, const Message& m, Encoder& e) {
   Encoder& payload = payload_encoder();
   payload.clear();
-  encode_message(env.message, payload);
+  encode_message(m, payload);
   e.clear();
-  e.varint(env.src);
-  e.varint(env.dst);
+  e.varint(src);
+  e.varint(dst);
   e.bytes(payload.bytes());
+}
+
+void encode_envelope(const Envelope& env, Encoder& e) {
+  encode_envelope(env.src, env.dst, env.message, e);
 }
 
 Bytes encode_envelope(const Envelope& env) {

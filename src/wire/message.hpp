@@ -349,7 +349,7 @@ using Message = std::variant<DerefRequest, StartQuery, ResultMessage, QueryDone,
                              PingMessage, SummaryMessage, WalSubscribe,
                              WalSegment, WalCatchup>;
 
-// NetworkStats::record_tag (net/inproc.cpp) and the simulator's schedule()
+// NetworkStats::frame (net/inproc.cpp) and the simulator's schedule()
 // (sim/simulation.cpp) classify frames by these variant positions.
 static_assert(std::is_same_v<std::variant_alternative_t<0, Message>,
                              DerefRequest>);
@@ -383,6 +383,10 @@ Bytes encode_envelope(const Envelope& e);
 /// and that encoder have grown to a frame's size, encoding it allocates
 /// nothing.
 void encode_envelope(const Envelope& e, Encoder& out);
+/// The same frame from its parts, so a sender holding a message by const
+/// reference encodes it without building (and so copying it into) an
+/// Envelope.
+void encode_envelope(SiteId src, SiteId dst, const Message& m, Encoder& out);
 Result<Envelope> decode_envelope(std::span<const std::uint8_t> data);
 
 }  // namespace hyperfile::wire

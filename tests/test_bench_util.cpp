@@ -102,5 +102,22 @@ TEST(TimeWall, ZeroRunsNeverInvokesOrDividesByZero) {
   EXPECT_EQ(w2.min_ms, 0.0);
 }
 
+TEST(TimeWall, QuantilesInterpolateBetweenSortedSamples) {
+  const std::vector<double> v = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.5), 5.5);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.25), 3.25);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.75), 7.75);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0), 1);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 1), 10);
+  EXPECT_DOUBLE_EQ(quantile_sorted({4}, 0.25), 4);
+  EXPECT_EQ(quantile_sorted({}, 0.5), 0.0);
+  const WallStats w = time_wall([] {}, /*runs=*/15, /*warmup=*/0);
+  EXPECT_EQ(w.runs, 15);
+  EXPECT_LE(w.min_ms, w.p25_ms);
+  EXPECT_LE(w.p25_ms, w.median_ms);
+  EXPECT_LE(w.median_ms, w.p75_ms);
+  EXPECT_LE(w.p75_ms, w.max_ms);
+}
+
 }  // namespace
 }  // namespace hyperfile::bench

@@ -478,6 +478,65 @@ TEST(SiteServerProtocol, DuplicateResultMessagesCountedOnce) {
   server.stop();
 }
 
+TEST(SiteServerProtocol, ReorderedDuplicateDerefsRunOnce) {
+  // A context keeps each sender's msg_seq values sorted. Frames numbered
+  // 3, 1, 3, 2, 1 take the append path, the out-of-order insert and both
+  // kinds of duplicate: each of the three objects runs once, two frames
+  // are suppressed, and the weight comes back exactly once.
+  InProcNetwork net(2);
+  SiteStore store(0);
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(store.put(Object(store.allocate(), {Tuple::keyword("hit")})));
+  }
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  auto driver = net.endpoint(1);  // the originator of qid {1, 1}
+  Counter& dedup_hits = metrics().counter("dist.dedup_hits");
+  const std::uint64_t hits_before = dedup_hits.value();
+
+  // Frame seq carries object seq - 1 and a weight of 2^-(seq + 1).
+  const Query q = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+  for (std::uint64_t seq : {3, 1, 3, 2, 1}) {
+    wire::DerefRequest dr;
+    dr.qid = {1, 1};
+    dr.query = q;
+    dr.oid = ids[seq - 1];
+    dr.weight = {static_cast<std::uint32_t>(seq + 1)};
+    dr.msg_seq = seq;
+    ASSERT_TRUE(driver->send(0, dr).ok());
+  }
+  Weight lent;
+  for (std::uint32_t e : {2u, 3u, 4u}) lent.add(Weight::from_exponents({e}));
+
+  // Each accepted frame drains at once and answers with its object and
+  // all held weight. Collect until both duplicates are counted and the
+  // site has gone quiet.
+  std::vector<ObjectId> got;
+  Weight returned;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    auto env = driver->recv(Duration(200'000));
+    if (env.has_value()) {
+      auto* rm = std::get_if<wire::ResultMessage>(&env->message);
+      ASSERT_NE(rm, nullptr) << "variant " << env->message.index();
+      got.insert(got.end(), rm->ids.begin(), rm->ids.end());
+      returned.add(Weight::from_exponents(rm->weight));
+      continue;
+    }
+    if (got.size() >= 3 && dedup_hits.value() - hits_before >= 2) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << got.size() << " ids, "
+        << dedup_hits.value() - hits_before << " dedup hits";
+  }
+  server.stop();
+  EXPECT_EQ(sorted(got), sorted(ids));
+  EXPECT_EQ(dedup_hits.value() - hits_before, 2u);
+  EXPECT_EQ(returned, lent);  // 7/16: no frame's weight repaid twice
+  EXPECT_EQ(server.engine_stats().processed, 3u);
+}
+
 TEST(SiteServerProtocol, StrandedParticipantContextExpiresViaTtl) {
   // Regression: a participant context whose QueryDone is lost must not live
   // forever — the TTL sweep discards it ("self-healing", DESIGN.md §11).
@@ -724,16 +783,16 @@ class CarrierFaultEndpoint final : public MessageEndpoint {
 
   SiteId self() const override { return inner_->self(); }
 
-  Result<void> send(SiteId to, wire::Message message) override {
+  Result<void> send(SiteId to, const wire::Message& message) override {
     const auto* dr = std::get_if<wire::DerefRequest>(&message);
     if (dr == nullptr || dr->spans.empty() || dr->oid != fault_->victim ||
         fault_->fired.exchange(true)) {
-      return inner_->send(to, std::move(message));
+      return inner_->send(to, message);
     }
     fault_->fired_at = self();
     if (fault_->kind == CarrierFault::Kind::kDrop) return {};
     (void)inner_->send(to, message);
-    return inner_->send(to, std::move(message));
+    return inner_->send(to, message);
   }
 
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override {
@@ -927,12 +986,14 @@ class BodyCorruptingEndpoint final : public MessageEndpoint {
 
   SiteId self() const override { return inner_->self(); }
 
-  Result<void> send(SiteId to, wire::Message message) override {
-    auto* dr = std::get_if<wire::DerefRequest>(&message);
-    if (dr != nullptr && !fired_->exchange(true)) {
-      dr->query = truncated_body(dr->query);
+  Result<void> send(SiteId to, const wire::Message& message) override {
+    const auto* dr = std::get_if<wire::DerefRequest>(&message);
+    if (dr == nullptr || fired_->exchange(true)) {
+      return inner_->send(to, message);
     }
-    return inner_->send(to, std::move(message));
+    wire::DerefRequest corrupt = *dr;
+    corrupt.query = truncated_body(dr->query);
+    return inner_->send(to, corrupt);
   }
 
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override {

@@ -118,6 +118,34 @@ TEST(Execution, AddItemResetsTransientState) {
   EXPECT_EQ(exec.result_ids(), std::vector<ObjectId>{a});
 }
 
+TEST(Execution, ReusedBindingsDoNotLeakToTheNextItem) {
+  // step() lends each item the execution's one bindings table. A binds ?X
+  // to C and then fails the second select; B, processed next, binds ?X to
+  // D and passes. C is reachable only through a binding leaked from A.
+  SiteStore store(0);
+  const ObjectId c =
+      store.put(Object(store.allocate(), {Tuple::keyword("end")}));
+  const ObjectId d =
+      store.put(Object(store.allocate(), {Tuple::keyword("end")}));
+  const ObjectId a =
+      store.put(Object(store.allocate(), {Tuple::pointer("Ref", c)}));
+  const ObjectId b = store.put(Object(
+      store.allocate(), {Tuple::pointer("Ref", d), Tuple::keyword("pass")}));
+  store.create_set("S", std::vector<ObjectId>{a, b});
+  const Query q = parse_or_die(
+      R"(S (pointer, "Ref", ?X) (keyword, "pass", ?) ^^X (keyword, "end", ?) -> T)");
+
+  QueryExecution exec(q, store);  // kFifo: A, then B
+  ASSERT_TRUE(exec.seed_initial().ok());
+  EXPECT_EQ(exec.step().kind, StepKind::kProcessed);  // A
+  EXPECT_EQ(exec.stats().derefs_followed, 0u);
+  EXPECT_EQ(exec.step().kind, StepKind::kProcessed);  // B
+  exec.drain();
+  EXPECT_EQ(exec.stats().derefs_followed, 1u);
+  EXPECT_EQ(exec.result_ids(), std::vector<ObjectId>{d});
+  EXPECT_EQ(exec.stats().processed, 3u);  // A, B and D; never C
+}
+
 TEST(Execution, SeedsCombineExplicitIdsAndNamedSet) {
   SiteStore store(0);
   ObjectId a = store.put(Object(store.allocate(), {Tuple::keyword("k")}));

@@ -170,6 +170,31 @@ TEST(InProcNetwork, MessagesSurviveWireRoundTrip) {
   EXPECT_EQ(got.iter_stack, (std::vector<std::uint32_t>{1, 2}));
 }
 
+TEST(InProcNetwork, UndecodableFrameIsDroppedAtTheReceiver) {
+  // The sender only encodes and the receiver decodes, so a frame that does
+  // not decode (a query the decoder's validation rejects) leaves the send
+  // successful. recv drops it, counts it, and waits out its timeout; the
+  // next frame arrives intact.
+  InProcNetwork net(2);
+  auto a = net.endpoint(0);
+  auto b = net.endpoint(1);
+  Counter& drops = metrics().counter("net.inproc.frame_drops");
+  const std::uint64_t before = drops.value();
+  wire::ClientRequest bad;
+  bad.query.add_filter(IterateFilter{/*body_start=*/2, /*count=*/1});
+  ASSERT_FALSE(bad.query.validate().ok());
+  ASSERT_TRUE(a->send(1, bad).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(b->recv(kShort).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kShort);
+  EXPECT_EQ(drops.value() - before, 1u);
+  ASSERT_TRUE(a->send(1, sample_message()).ok());
+  auto env = b->recv(kLong);
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->src, 0u);
+  EXPECT_NE(std::get_if<wire::QueryDone>(&env->message), nullptr);
+}
+
 TEST(TcpNetwork, LoopbackDelivery) {
   // Two endpoints on ephemeral localhost ports; addresses exchanged after
   // binding via update_peer (the ephemeral-port bootstrap dance).
